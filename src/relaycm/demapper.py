@@ -14,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.special import logsumexp
 
 from .channel import DmcMatrix
-from .constellation import Constellation, bit_level_sets
+from .constellation import Constellation
 from .errors import ConfigError, NumericalDegeneracyError
 
 LLR_CLIP = 50.0
@@ -54,33 +52,33 @@ class Demapper:
         """Two-hop demapper: discrete relay stage dmc, then AWGN at snr2."""
         return cls(constellation=c, noise_var=0.5 / snr2, transition=dmc)
 
-    def symbol_logliks(self, y) -> np.ndarray:
-        """Log likelihood of each sent index for each sample, up to a
-        common additive constant."""
-        y = np.atleast_1d(np.asarray(y, dtype=np.complex128))
-        d2 = np.abs(y[:, None] - self.constellation.symbols[None, :]) ** 2
-        a = -d2 / (2.0 * self.noise_var)
-        if self.transition is None:
-            return a
-        amax = a.max(axis=1, keepdims=True)
-        with np.errstate(divide="ignore"):
-            return np.log(np.exp(a - amax) @ self.transition.probs) + amax
-
     def llrs(self, y) -> np.ndarray:
-        """Per-bit LLRs, shape (n, bits_per_symbol)."""
-        loglik = self.symbol_logliks(y)
-        sets = bit_level_sets(self.constellation)
-        m = self.constellation.bits_per_symbol
-        out = np.empty((loglik.shape[0], m))
-        for i in range(m):
-            l0 = logsumexp(loglik[:, sets.zero[i]], axis=1)
-            l1 = logsumexp(loglik[:, sets.one[i]], axis=1)
-            dead = np.isneginf(l0) & np.isneginf(l1)
-            if np.any(dead):
-                raise NumericalDegeneracyError(
-                    "sample has zero likelihood under every symbol hypothesis"
-                )
-            out[:, i] = l0 - l1
+        """Per-bit LLRs, shape (n, bits_per_symbol).
+
+        Each row's likelihoods are shifted by their maximum before one
+        exp, so the symbol nearest to y weighs exactly 1 and, without a
+        relay stage, the bit set holding it sums to at least 1.  The other
+        set underflows to 0 only past |LLR| ~ 745, far beyond the clip.
+        """
+        c = self.constellation
+        y = np.atleast_1d(np.asarray(y, dtype=np.complex128))
+        a = np.abs(y[:, None] - c.symbols[None, :]) ** 2
+        a /= -2.0 * self.noise_var
+        amax = a.max(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):  # -inf rows are rejected below
+            a -= amax
+        p = np.exp(a, out=a)
+        if self.transition is not None:
+            p = p @ self.transition.probs
+        ones = c.labels.astype(np.float64)
+        p0 = p @ (1.0 - ones)
+        p1 = p @ ones
+        if np.any((p0 == 0.0) & (p1 == 0.0)) or np.any(np.isneginf(amax)):
+            raise NumericalDegeneracyError(
+                "sample has zero likelihood under every symbol hypothesis"
+            )
+        with np.errstate(divide="ignore"):
+            out = np.log(p0) - np.log(p1)
         return np.clip(out, -self.clip, self.clip)
 
 
@@ -188,6 +186,8 @@ def piecewise_linear_fit(fn, knots, lo=-4.0, hi=4.0, grid_points=801):
         raise ConfigError("fitted function must map the grid pointwise")
     if not np.all(np.isfinite(f)):
         raise NumericalDegeneracyError("non-finite samples on the fit grid")
+
+    from scipy.optimize import linprog  # deferred: scipy.optimize is slow to import
 
     kx = np.linspace(lo, hi, knots)
     a = _hat_matrix(grid, kx)

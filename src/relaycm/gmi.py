@@ -22,6 +22,7 @@ from .channel import (
     AwgnSegment,
     DmcMatrix,
     RelayFunction,
+    complex_noise_unit,
     derived_rng,
     nearest_index,
     power_normalizing_eta,
@@ -170,7 +171,7 @@ class RelayGmiEvaluator:
         self.bits = bits.reshape(self.n_symbols, m)
         x = c.symbols[indices_for_bits(c, bits)]
         y1 = transmit(x, AwgnSegment(snr=self.snr1), derived_rng(seed, 1))
-        self._unit_noise2 = _unit_noise(derived_rng(seed, 2), self.n_symbols)
+        self._unit_noise2 = complex_noise_unit(derived_rng(seed, 2), self.n_symbols)
 
         if variant == SCALE_RELAY:
             self._relay_out = power_normalizing_eta(self.snr1) * y1
@@ -194,7 +195,7 @@ class RelayGmiEvaluator:
         bits_s = derived_rng(seed, 4).integers(0, 2, size=self.n_symbols * m, dtype=np.uint8)
         self._bits_single = bits_s.reshape(self.n_symbols, m)
         self._x_single = c.symbols[indices_for_bits(c, bits_s)]
-        self._unit_noise_single = _unit_noise(derived_rng(seed, 5), self.n_symbols)
+        self._unit_noise_single = complex_noise_unit(derived_rng(seed, 5), self.n_symbols)
 
     def _receive(self, snr2: float) -> np.ndarray:
         return self._relay_out + np.sqrt(1.0 / snr2) * self._unit_noise2
@@ -238,11 +239,6 @@ class RelayGmiEvaluator:
             return g2 - m * rate
         g1 = self.single_hop_gmi(snr2).value
         return share * g1 + (1.0 - share) * g2 - m * rate
-
-
-def _unit_noise(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.standard_normal((2, n))
-    return (z[0] + 1j * z[1]) / np.sqrt(2.0)
 
 
 def single_hop_gmi(c: Constellation, snr: float, n_symbols: int, seed: int) -> GmiEstimate:

@@ -28,6 +28,7 @@ from . import __version__
 from .channel import (
     NOISELESS_SNR,
     RelayFunction,
+    complex_noise_unit,
     derived_rng,
     nearest_index,
     power_normalizing_eta,
@@ -307,8 +308,7 @@ def _coded_ber(a, code, dmc, c, snr2):
         sym = c.symbols[indices_for_bits(c, x)]
         z1 = derived_rng(a["seed"], j, 1).standard_normal((2, sym.size))
         y1 = sym + math.sqrt(0.5 / snr1) * (z1[0] + 1j * z1[1])
-        z2 = derived_rng(a["seed"], j, 2).standard_normal((2, sym.size))
-        unit2 = (z2[0] + 1j * z2[1]) / math.sqrt(2.0)
+        unit2 = complex_noise_unit(derived_rng(a["seed"], j, 2), sym.size)
 
         if variant == SCALE_RELAY:
             relay_out = power_normalizing_eta(snr1) * y1

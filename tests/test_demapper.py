@@ -3,6 +3,9 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from relaycm.channel import DmcMatrix, RelayFunction, transition_matrix
 from relaycm.constellation import Constellation, bit_level_sets, build_constellation
@@ -40,17 +43,6 @@ def test_llrs_clip_and_custom_clip():
     dm8 = Demapper(constellation=_bpsk(), noise_var=0.005, clip=8.0)
     out = dm8.llrs(np.array([-5.0 + 0j]))
     assert out[0, 0] == 8.0
-
-
-def test_identity_transition_matches_conventional():
-    c = build_constellation("qam16")
-    snr = 10 ** 1.2
-    eye = DmcMatrix(probs=np.eye(16), snr_db=None, method="analytic")
-    rng = np.random.default_rng(3)
-    y = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    a = Demapper.conventional(c, snr).llrs(y)
-    b = Demapper.equivalent(c, snr, eye).llrs(y)
-    np.testing.assert_allclose(b, a, atol=1e-9)
 
 
 def test_equivalent_two_point_bsc_closed_form():
@@ -101,6 +93,71 @@ def test_all_dead_hypotheses_raise():
         dm.llrs(np.array([-200.0 + 0j]))
     # nearby samples are still fine
     assert np.isfinite(dm.llrs(np.array([-2.0 + 0j]))).all()
+
+
+def _reference_llrs(dm, y):
+    # per-bit-level logsumexp over the symbol log likelihoods: slower, but
+    # each level's two sums are formed in the log domain
+    c = dm.constellation
+    y = np.atleast_1d(np.asarray(y, dtype=np.complex128))
+    a = -np.abs(y[:, None] - c.symbols[None, :]) ** 2 / (2.0 * dm.noise_var)
+    if dm.transition is not None:
+        amax = a.max(axis=1, keepdims=True)
+        with np.errstate(divide="ignore"):
+            a = np.log(np.exp(a - amax) @ dm.transition.probs) + amax
+    sets = bit_level_sets(c)
+    out = np.empty((y.size, c.bits_per_symbol))
+    for i in range(c.bits_per_symbol):
+        out[:, i] = (logsumexp(a[:, sets.zero[i]], axis=1)
+                     - logsumexp(a[:, sets.one[i]], axis=1))
+    return np.clip(out, -dm.clip, dm.clip)
+
+
+_link_cases = st.tuples(
+    st.sampled_from(["qam16", "qam32"]),
+    st.floats(0.0, 30.0),
+    st.integers(1, 2000),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _received(c, snr, n, rng):
+    # half the samples near their sent symbol, half anywhere in the square
+    # around the constellation, so decision boundaries are well covered
+    y = c.symbols[rng.integers(0, c.order, n)]
+    y = y + np.sqrt(0.5 / snr) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    r = 1.2 * np.abs(c.symbols).max()
+    k = n // 2
+    y[:k] = rng.uniform(-r, r, k) + 1j * rng.uniform(-r, r, k)
+    return y
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_link_cases, equivalent=st.booleans())
+def test_llrs_match_logsumexp_reference(case, equivalent):
+    name, snr_db, n, seed = case
+    c = build_constellation(name)
+    snr = 10.0 ** (snr_db / 10.0)
+    rng = np.random.default_rng(seed)
+    if equivalent:
+        w = rng.dirichlet(np.ones(c.order), size=c.order).T
+        dm = Demapper.equivalent(c, snr, DmcMatrix(probs=w))
+    else:
+        dm = Demapper.conventional(c, snr)
+    y = _received(c, snr, n, rng)
+    np.testing.assert_allclose(dm.llrs(y), _reference_llrs(dm, y), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_link_cases)
+def test_identity_transition_matches_conventional(case):
+    name, snr_db, n, seed = case
+    c = build_constellation(name)
+    snr = 10.0 ** (snr_db / 10.0)
+    y = _received(c, snr, n, np.random.default_rng(seed))
+    eye = DmcMatrix(probs=np.eye(c.order))
+    np.testing.assert_array_equal(Demapper.equivalent(c, snr, eye).llrs(y),
+                                  Demapper.conventional(c, snr).llrs(y))
 
 
 def test_invalid_construction():
