@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .constellation import Constellation
 from .errors import ConfigError, UnsupportedMethodError
@@ -247,6 +246,8 @@ def _rect_grid(c: Constellation):
 
 def _levels_transition(levels: np.ndarray, sigma_dim: float) -> np.ndarray:
     """P(decide level a | sent level b) for 1-D nearest-level slicing."""
+    from scipy.special import ndtr  # deferred: scipy.special is slow to import
+
     mids = (levels[:-1] + levels[1:]) / 2.0
     hi = np.append(mids, np.inf)
     lo = np.insert(mids, 0, -np.inf)

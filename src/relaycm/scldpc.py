@@ -21,14 +21,25 @@ rejected and redrawn.
 
 Decoding is a sliding-window sum-product pass that decides one position
 per step, folding already-decided positions into the check parities.
+Messages live on a slot layout that the first decode of a code builds
+and caches: one row per check slot, one column per check, and for each
+variable the slots of its dv edges.  A window step is a column slice of
+that layout plus the contiguous run of variables its checks reach, so no
+step re-derives its edges.  Every check and variable sum adds its terms
+in check-sorted edge order, the order of a per-check bincount, so the
+window and the layout do not change a single bit of the result.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_DV = 3
 DEFAULT_DC = 15
@@ -143,6 +154,7 @@ class SpatiallyCoupledCode:
         self._tail_transform, self._tail_pivots, self._tail_rank = tail_solver
         self.info_vars = self._info_vars()
         self.tail_vars = self._tail_vars()
+        self._slots = None
 
     def _info_vars(self):
         q, dc, dv, L, w = self.q, self.dc, self.dv, self.chain_len, self.coupling
@@ -160,6 +172,29 @@ class SpatiallyCoupledCode:
             base = (tau * dc + dc - 2 * dv) * q
             parts.append(np.arange(base, base + 2 * dv * q))
         return np.concatenate(parts) if parts else np.array([], dtype=np.int64)
+
+    def _slot_layout(self):
+        """Window-independent decoder layout, built on first use.
+
+        Returns (slot_var, var_slot).  slot_var[s, c] is the variable on
+        slot s of check c, slots in check-sorted edge order; slots past a
+        check's degree hold the sentinel n.  var_slot[k, v] is the flat
+        position s * n_checks + c of variable v's k-th edge, in ascending
+        check order.
+        """
+        if self._slots is None:
+            ptr = self._check_ptr
+            deg = np.diff(ptr)
+            slot = np.arange(len(self._edge_var)) - np.repeat(ptr[:-1], deg)
+            slot_var = np.full((deg.max(), self.n_checks), self.n, dtype=np.int64)
+            slot_var[slot, self._edge_check] = self._edge_var
+            flat = slot * self.n_checks + self._edge_check
+            # edges are check-sorted, so a stable sort by variable keeps
+            # each variable's checks ascending
+            order = np.argsort(self._edge_var, kind="stable")
+            var_slot = np.ascontiguousarray(flat[order].reshape(self.n, self.dv).T)
+            self._slots = (slot_var, var_slot)
+        return self._slots
 
     def _class_syndrome(self, x, cls, n_lanes):
         """Parity per check lane over one contiguous run of check ids."""
@@ -182,7 +217,7 @@ class SpatiallyCoupledCode:
                 syn = self._class_syndrome(x, t * dv + r, q)
                 base = (t * dc + dc - dv + r) * q
                 x[base:base + q] = syn
-        n_tail = 6 * (w - 1) * q
+        n_tail = 2 * dv * (w - 1) * q
         cls0 = (L - w + 1) * dv
         rhs = self._class_syndrome(x, cls0, n_tail)
         y = (self._tail_transform.astype(np.int64) @ rhs) % 2
@@ -202,6 +237,8 @@ class SpatiallyCoupledCode:
 
     def h_sparse(self) -> sp.csr_matrix:
         """Parity check matrix as scipy sparse CSR, entries in {0, 1}."""
+        import scipy.sparse as sp  # deferred: only this method needs scipy
+
         data = np.ones(len(self._edge_var), dtype=np.uint8)
         return sp.csr_matrix(
             (data, (self._edge_check, self._edge_var)),
@@ -254,7 +291,7 @@ def _build_edges(q, chain_len, coupling, dv, dc, offsets):
 
 def _tail_system(q, chain_len, coupling, dv, dc, edge_var, edge_check, check_ptr):
     L, w = chain_len, coupling
-    n_tail = 6 * (w - 1) * q
+    n_tail = 2 * dv * (w - 1) * q
     chk0 = (L - w + 1) * dv * q
     lo = check_ptr[(L - w + 1) * dv]
     ev = edge_var[lo:]
@@ -272,14 +309,16 @@ def _tail_system(q, chain_len, coupling, dv, dc, edge_var, edge_check, check_ptr
 
 
 def build_code(q: int, chain_len: int, coupling: int, seed: int = 0,
-               dv: int = DEFAULT_DV, dc: int = DEFAULT_DC) -> SpatiallyCoupledCode:
+               dc: int = DEFAULT_DC) -> SpatiallyCoupledCode:
     """Construct a terminated coupled code.
 
-    Parameters are the lift size Q, chain length L, and coupling width w.
-    Powers of two for Q give the offset search the most room.  The build
-    redraws offsets until the termination system has the minimal rank
-    deficiency dv-1; a failure after many attempts raises.
+    Parameters are the lift size Q, chain length L, coupling width w and
+    check degree dc; the variable degree is DEFAULT_DV.  Powers of two
+    for Q give the offset search the most room.  The build redraws
+    offsets until the termination system has the minimal rank deficiency
+    dv-1; a failure after many attempts raises.
     """
+    dv = DEFAULT_DV
     if q < 2 or chain_len < 2 or coupling < 2:
         raise ConfigError("need q >= 2, chain length >= 2, coupling >= 2")
     if coupling > chain_len:
@@ -307,20 +346,28 @@ def build_code(q: int, chain_len: int, coupling: int, seed: int = 0,
 
 
 class DecodeResult:
-    """Hard output word plus per-position convergence flags."""
+    """Hard output word, per-position convergence flags, and the
+    posterior LLR of every variable at the step that committed it."""
 
-    def __init__(self, bits, converged, iterations):
+    def __init__(self, bits, converged, iterations, posteriors):
         self.bits = bits
         self.converged = converged
         self.iterations = iterations
+        self.posteriors = posteriors
 
     def info_bits(self, code: SpatiallyCoupledCode) -> np.ndarray:
         return self.bits[code.info_vars]
 
 
-def _phi(x):
-    # involution -ln tanh(x/2); floor keeps it finite at both ends
-    return -np.log(np.tanh(np.maximum(x, _PHI_FLOOR) / 2.0))
+def _phi(x, floor, out):
+    # involution -ln tanh(x/2); floor keeps it finite at both ends.  It is
+    # an array of _PHI_FLOOR because np.maximum against a scalar runs
+    # about 3x slower than against an array of the same shape.
+    np.maximum(x, floor, out=out)
+    np.divide(out, 2.0, out=out)
+    np.tanh(out, out=out)
+    np.log(out, out=out)
+    return np.negative(out, out=out)
 
 
 def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
@@ -333,6 +380,14 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
     satisfied, then commits the oldest position.  A position's flag
     reports whether every check touching it holds for the final word and
     its committed posteriors were all nonzero.
+
+    Messages live on the code's cached slot layout (see
+    SpatiallyCoupledCode._slot_layout).  A step is a column slice of it,
+    the window's checks, plus the contiguous run of variables those checks
+    reach; slots of committed variables take no messages and only fix
+    the parity of their checks.  Check and variable sums add in edge
+    order, as a per-check bincount would, and _phi is unchanged, so the
+    layout moves no bit of the result.
     """
     L, w, q, dv, dc = code.chain_len, code.coupling, code.q, code.dv, code.dc
     win = 4 * w if window is None else int(window)
@@ -341,45 +396,88 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
     lam = np.asarray(llrs, dtype=np.float64).ravel()
     if len(lam) != code.n:
         raise ConfigError(f"expected {code.n} LLRs, got {len(lam)}")
-    hard = np.zeros(code.n, dtype=np.uint8)
-    min_abs = np.full(L, np.inf)
+    slot_var, var_slot = code._slot_layout()
+    n, span, n_slots = code.n, dc * q, slot_var.shape[0]
+    # index n is the pad sentinel: its hard bit stays 0
+    hard = np.zeros(n + 1, dtype=np.uint8)
+    post = np.zeros(n + 1)
+    # check-to-variable messages on the whole layout.  Columns past a
+    # step's window are still zero, so a variable's edges to checks the
+    # window has not reached add nothing to its posterior.
+    c2v = np.zeros((n_slots, code.n_checks))
+    c2v_flat = c2v.reshape(-1)
+    # work buffers, allocated once: fresh temporaries would fault in pages
+    # on every iteration
+    max_chk, max_var = min(win, L + w - 1) * dv * q, min(win, L) * span
+    f64 = np.empty((4, n_slots * max_chk))
+    floor = np.full(n_slots * max_chk, _PHI_FLOOR)
+    u8 = np.empty((3, n_slots * max_chk), dtype=np.uint8)
+    chk_u8 = np.empty((2, max_chk), dtype=np.uint8)
+    chk_f64 = np.empty(max_chk)
+    var_msgs = np.empty(dv * max_var)
+    var_f64 = np.empty(max_var)
+    llr = np.empty(n)
     total_iter = 0
     for t0 in range(L):
         c_hi = min(t0 + win, L + w - 1)
         chk0, chk1 = t0 * dv * q, c_hi * dv * q
-        lo, hi = code._check_ptr[chk0], code._check_ptr[chk1]
-        evar = code._edge_var[lo:hi]
-        echk = code._edge_check[lo:hi] - chk0
-        n_chk = chk1 - chk0
-        frozen = (evar // (dc * q)) < t0
-        flip = np.bincount(echk[frozen], weights=hard[evar[frozen]].astype(np.float64),
-                           minlength=n_chk).astype(np.int64) % 2
-        avar = evar[~frozen]
-        achk = echk[~frozen]
-        uvar, inv = np.unique(avar, return_inverse=True)
-        lam_u = lam[uvar]
-        c2v = np.zeros(len(avar))
-        post = lam_u.copy()
+        v0, v1 = t0 * span, min(c_hi, L) * span
+        n_chk, n_var = chk1 - chk0, v1 - v0
+        shape = (n_slots, n_chk)
+        # contiguous copies: np.take runs ~5x slower on strided indices
+        gvar = slot_var[:, chk0:chk1].copy()
+        vslot = var_slot[:, v0:v1].copy()
+        msg = c2v[:, chk0:chk1]
+        gath, v2c, ph, mag = (b[:n_slots * n_chk].reshape(shape) for b in f64)
+        sign = v2c   # v2c is spent once neg and ph are formed
+        fl = floor[:n_slots * n_chk].reshape(shape)
+        neg, par, live = (b[:n_slots * n_chk].reshape(shape) for b in u8)
+        chk_par, syn = chk_u8[:, :n_chk]
+        ph_sum = chk_f64[:n_chk]
+        v_msgs = var_msgs[:dv * n_var].reshape(dv, n_var)
+        v_sum = var_f64[:n_var]
+        lam_w, post_w = lam[v0:v1], post[v0:v1]
+        # slots of committed variables and pads: no messages, and the
+        # committed bits fold into a fixed parity per check
+        dead = (gvar < v0) | (gvar == n)
+        np.logical_not(dead, out=live)
+        flip = np.bitwise_xor.reduce(hard.take(gvar), axis=0)
+        post_w[:] = lam_w
+        msg[:] = 0.0
+        np.take(post, gvar, out=gath)
         for _ in range(iterations):
             total_iter += 1
-            v2c = np.clip(post[inv] - c2v, -saturation, saturation)
-            neg = v2c < 0.0
-            ph = _phi(np.abs(v2c))
-            mag = _phi(np.bincount(achk, weights=ph, minlength=n_chk)[achk] - ph)
-            n_neg = np.bincount(achk, weights=neg, minlength=n_chk).astype(np.int64)
-            par = (n_neg[achk] - neg + flip[achk]) % 2
-            c2v = np.where(par == 0, mag, -mag)
-            post = lam_u + np.bincount(inv, weights=c2v, minlength=len(uvar))
-            hb = (post < 0.0).astype(np.float64)
-            syn = np.bincount(achk, weights=hb[inv], minlength=n_chk).astype(np.int64) + flip
-            if not np.any(syn % 2):
+            np.subtract(gath, msg, out=v2c)
+            np.clip(v2c, -saturation, saturation, out=v2c)
+            np.less(v2c, 0.0, out=neg)
+            _phi(np.abs(v2c, out=ph), fl, out=ph)
+            ph[dead] = 0.0
+            np.sum(ph, axis=0, out=ph_sum)
+            _phi(np.subtract(ph_sum, ph, out=mag), fl, out=mag)
+            np.bitwise_and(neg, live, out=neg)
+            np.bitwise_xor.reduce(neg, axis=0, out=chk_par)
+            np.bitwise_xor(chk_par, flip, out=chk_par)
+            np.bitwise_xor(neg, chk_par, out=par)
+            np.multiply(par, -2.0, out=sign)
+            np.add(sign, 1.0, out=sign)
+            np.multiply(mag, sign, out=msg)
+            np.take(c2v_flat, vslot, out=v_msgs)
+            np.add(lam_w, np.sum(v_msgs, axis=0, out=v_sum), out=post_w)
+            # the syndrome test reads the gather the next iteration needs
+            np.take(post, gvar, out=gath)
+            np.less(gath, 0.0, out=neg)
+            np.bitwise_and(neg, live, out=neg)
+            np.bitwise_xor.reduce(neg, axis=0, out=syn)
+            np.bitwise_xor(syn, flip, out=syn)
+            if not syn.any():
                 break
-        sel = (uvar // (dc * q)) == t0
-        hard[uvar[sel]] = post[sel] < 0.0
-        min_abs[t0] = np.abs(post[sel]).min()
+        llr[v0:v0 + span] = post[v0:v0 + span]
+        np.less(llr[v0:v0 + span], 0.0, out=hard[v0:v0 + span])
+    hard = hard[:n]
+    min_abs = np.abs(llr).reshape(L, span).min(axis=1)
     syn = code.syndrome(hard)
     clean = syn.reshape(L + w - 1, dv * q).sum(axis=1) == 0
     flags = np.empty(L, dtype=bool)
     for t in range(L):
         flags[t] = bool(clean[t:min(t + w, L + w - 1)].all()) and min_abs[t] > 0.0
-    return DecodeResult(bits=hard, converged=flags, iterations=total_iter)
+    return DecodeResult(bits=hard, converged=flags, iterations=total_iter, posteriors=llr)

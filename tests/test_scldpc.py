@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaycm.errors import ConfigError
 from relaycm.scldpc import SpatiallyCoupledCode, build_code, decode, design_rate
@@ -56,7 +60,20 @@ def test_build_rejects_bad_parameters():
     with pytest.raises(ConfigError):
         build_code(8, 8, 4)          # wider than the variable degree
     with pytest.raises(ConfigError):
-        build_code(8, 8, 2, dv=3, dc=5)
+        build_code(8, 8, 2, dc=5)
+
+
+@pytest.mark.parametrize("dc", [6, 9, 12, 18])
+def test_check_degrees_build_encode_and_decode(dc):
+    code = build_code(16, 6, 3, seed=0, dc=dc)
+    assert code.n == dc * 16 * 6
+    assert code.rate == pytest.approx(design_rate(6, 3, dc=dc))
+    u = np.random.default_rng(dc).integers(0, 2, code.k, dtype=np.uint8)
+    x = code.encode(u)
+    assert not code.syndrome(x).any()
+    res = decode(code, 20.0 * (1.0 - 2.0 * x.astype(np.float64)), iterations=2)
+    assert np.array_equal(res.bits, x)
+    assert res.converged.all()
 
 
 def test_build_is_deterministic_in_seed():
@@ -169,3 +186,112 @@ def test_decode_validation():
         decode(code, np.zeros(code.n), window=1)
     with pytest.raises(ConfigError):
         decode(code, np.zeros(code.n - 1))
+
+
+def _reference_phi(x):
+    return -np.log(np.tanh(np.maximum(x, 1e-12) / 2.0))
+
+
+def _reference_decode(code, llrs, window=None, iterations=20, saturation=25.0):
+    # the edge-list decoder: re-derives each window's edges, np.unique for
+    # its variables, and every sum as a bincount over the check-sorted edges
+    L, w, q, dv, dc = code.chain_len, code.coupling, code.q, code.dv, code.dc
+    win = 4 * w if window is None else int(window)
+    lam = np.asarray(llrs, dtype=np.float64).ravel()
+    hard = np.zeros(code.n, dtype=np.uint8)
+    llr = np.empty(code.n)
+    min_abs = np.full(L, np.inf)
+    total_iter = 0
+    for t0 in range(L):
+        c_hi = min(t0 + win, L + w - 1)
+        chk0, chk1 = t0 * dv * q, c_hi * dv * q
+        lo, hi = code._check_ptr[chk0], code._check_ptr[chk1]
+        evar = code._edge_var[lo:hi]
+        echk = code._edge_check[lo:hi] - chk0
+        n_chk = chk1 - chk0
+        frozen = (evar // (dc * q)) < t0
+        flip = np.bincount(echk[frozen], weights=hard[evar[frozen]].astype(np.float64),
+                           minlength=n_chk).astype(np.int64) % 2
+        avar = evar[~frozen]
+        achk = echk[~frozen]
+        uvar, inv = np.unique(avar, return_inverse=True)
+        lam_u = lam[uvar]
+        c2v = np.zeros(len(avar))
+        post = lam_u.copy()
+        for _ in range(iterations):
+            total_iter += 1
+            v2c = np.clip(post[inv] - c2v, -saturation, saturation)
+            neg = v2c < 0.0
+            ph = _reference_phi(np.abs(v2c))
+            mag = _reference_phi(np.bincount(achk, weights=ph, minlength=n_chk)[achk] - ph)
+            n_neg = np.bincount(achk, weights=neg, minlength=n_chk).astype(np.int64)
+            par = (n_neg[achk] - neg + flip[achk]) % 2
+            c2v = np.where(par == 0, mag, -mag)
+            post = lam_u + np.bincount(inv, weights=c2v, minlength=len(uvar))
+            hb = (post < 0.0).astype(np.float64)
+            syn = np.bincount(achk, weights=hb[inv], minlength=n_chk).astype(np.int64) + flip
+            if not np.any(syn % 2):
+                break
+        sel = (uvar // (dc * q)) == t0
+        hard[uvar[sel]] = post[sel] < 0.0
+        llr[uvar[sel]] = post[sel]
+        min_abs[t0] = np.abs(post[sel]).min()
+    syn = code.syndrome(hard)
+    clean = syn.reshape(L + w - 1, dv * q).sum(axis=1) == 0
+    flags = np.empty(L, dtype=bool)
+    for t in range(L):
+        flags[t] = bool(clean[t:min(t + w, L + w - 1)].all()) and min_abs[t] > 0.0
+    return hard, flags, total_iter, llr
+
+
+@lru_cache(maxsize=None)
+def _shared_code(q, chain_len, coupling):
+    # one instance per shape, so examples also decode on a layout that an
+    # earlier example, with another window, built and cached
+    return build_code(q, chain_len, coupling, seed=0)
+
+
+def _noisy_llrs(code, sigma, zero_frac, rng):
+    x = code.encode(rng.integers(0, 2, code.k, dtype=np.uint8))
+    lam = 2.0 * ((1.0 - 2.0 * x) + sigma * rng.standard_normal(code.n)) / sigma ** 2
+    lam[rng.random(code.n) < zero_frac] = 0.0
+    return lam
+
+
+def _assert_matches_reference(code, lam, **kw):
+    res = decode(code, lam, **kw)
+    bits, flags, iters, llr = _reference_decode(code, lam, **kw)
+    assert np.array_equal(res.bits, bits)
+    assert np.array_equal(res.converged, flags)
+    assert res.iterations == iters
+    # bits and flags shrug off a last-place change in one message; the
+    # posteriors show any change in the order of a sum
+    assert np.array_equal(res.posteriors, llr)
+
+
+@st.composite
+def _decode_cases(draw):
+    q = draw(st.sampled_from([8, 16, 32]))
+    w = draw(st.sampled_from([2, 3]))
+    chain_len = draw(st.integers(w, 8))
+    window = draw(st.none() | st.integers(w, chain_len + w - 1))
+    return q, chain_len, w, window
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_decode_cases(), iterations=st.integers(1, 30),
+       saturation=st.sampled_from([3.0, 8.0, 25.0, 60.0]), sigma=st.floats(0.3, 1.5),
+       zero_frac=st.sampled_from([0.0, 0.05, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_decode_matches_edge_list_reference(case, iterations, saturation, sigma, zero_frac, seed):
+    q, chain_len, w, window = case
+    code = _shared_code(q, chain_len, w)
+    lam = _noisy_llrs(code, sigma, zero_frac, np.random.default_rng(seed))
+    _assert_matches_reference(code, lam, window=window, iterations=iterations,
+                              saturation=saturation)
+
+
+def test_cached_layout_serves_every_window():
+    code = build_code(16, 8, 3, seed=1)
+    lam = _noisy_llrs(code, 0.8, 0.02, np.random.default_rng(4))
+    for window in (4, 10, 4):
+        _assert_matches_reference(code, lam, window=window, iterations=12)
