@@ -9,7 +9,8 @@ alongside a 95% confidence halfwidth from the per-symbol loss variance.
 This module also hosts the common-random-number link evaluator used by
 the sweep and bisection drivers, and the scalar LLR rescaling that a
 mismatched (relay-blind) demapper needs to stop its rate estimate from
-collapsing.
+collapsing: the multiplier that minimizes the convex loss, found by a
+safeguarded Newton solve (optimal_llr_scale).
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ from .demapper import Demapper
 from .errors import ConfigError
 
 _LN2 = np.log(2.0)
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+# softplus(-x) is exactly 0.0 in float64 once exp(-x) underflows (x > 745)
+_SEPARATED = 800.0
+# a cap only: solves on demapper output take a handful of steps
+_MAX_STEPS = 200
 
 HD_MATCHED = "hd_matched"
 HD_LEGACY_SOPT = "hd_legacy_sopt"
@@ -91,41 +95,77 @@ def gmi_from_llrs(llrs: np.ndarray, bits: np.ndarray) -> GmiEstimate:
 def optimal_llr_scale(llrs: np.ndarray, bits: np.ndarray, tol: float = 1e-6) -> ScaleResult:
     """Scalar multiplier minimizing the decoding loss of the given LLRs.
 
-    The loss is convex in the multiplier, so a golden-section search over
-    an adaptively grown bracket finds the optimum.  Metrics carrying no
-    information at all (identically zero) report scale 0 and a degenerate
-    flag instead of an arbitrary bracket endpoint.
+    With z = (1 - 2b) * llr over all n entries, the loss
+    L(s) = mean softplus(-s z) is convex in s, with
+
+        L'(s)  = -mean(z sigmoid(-s z))
+        L''(s) =  mean(z^2 sigmoid(s z) sigmoid(-s z)).
+
+    Write n L'(s) = W - phi(s), where W is the total |z| of the
+    wrong-signed metrics (z < 0) and phi(s) = sum |z| sigmoid(-s |z|)
+    falls from sum|z| / 2 towards 0, with phi'(s) = -n L''(s).  The
+    optimum is the root of log phi(s) = log W, found by Newton steps on
+    that equation: one exp(-s|z|) pass per step gives phi and phi'.
+    Near the root the step is the plain Newton step -L'/L''; far from it
+    the logarithm keeps steps from stalling in the flat sigmoid tails.
+    A bracket kept from the sign of L' is the safeguard: a step that
+    leaves it, or that L'' underflows, falls back to bisection, or to
+    doubling while no upper end is known.  The solve runs in units of
+    the largest |z| and starts from the minimizer of the quadratic model
+    of L at 0, so the answer scales with 1/|llr| however small or large
+    the LLRs are.  It stops once a step moves the scale by at most tol,
+    or by tol relative to the scale when that exceeds 1.
+
+    Metrics that are identically zero carry no information: scale 0,
+    flagged degenerate.  Metrics wrong at least as much as right on
+    average (L'(0) >= 0) give scale 0 and the loss there.  Metrics never
+    wrong (no z < 0) have no finite minimizer; they give the finite
+    scale at which every nonzero-metric term of the loss underflows to 0.
     """
     llrs = np.atleast_2d(llrs)
     bits = np.atleast_2d(bits)
     m = llrs.shape[1]
-    z = (1.0 - 2.0 * bits.astype(np.float64)) * llrs
+    z = ((1.0 - 2.0 * bits.astype(np.float64)) * llrs).ravel()
 
     def f(zeta):
         return float(np.logaddexp(0.0, -zeta * z).mean()) * m / _LN2
 
-    if not np.any(z):
+    unit = float(np.abs(z).max())
+    if unit == 0.0:
         return ScaleResult(scale=0.0, loss=f(0.0), degenerate=True)
+    u = z / unit
+    w = np.abs(u)
+    wrong = -float(np.minimum(u, 0.0).sum())
+    if wrong == 0.0:
+        zeta = _SEPARATED / (unit * float(w[w > 0.0].min()))
+        return ScaleResult(scale=zeta, loss=f(zeta), degenerate=False)
+    half = 0.5 * float(w.sum())
+    if half <= wrong:
+        return ScaleResult(scale=0.0, loss=f(0.0), degenerate=False)
 
-    hi = 8.0
-    while f(hi) < f(_INVPHI * hi):
-        hi *= 2.0
-        if hi > 2.0 ** 40:
-            return ScaleResult(scale=0.0, loss=f(0.0), degenerate=True)
-    a, b = 0.0, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
+    lo, hi = 0.0, np.inf
+    t = (half - wrong) / (0.25 * float(w @ w))
+    for _ in range(_MAX_STEPS):
+        e = np.exp(w * -t)
+        d = 1.0 + e
+        r = e / d
+        phi = float(w @ r)
+        if phi > wrong:
+            lo = t
+        elif phi < wrong:
+            hi = t
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    s = (a + b) / 2.0
+            break
+        dphi = float((w * r) @ (w / d))
+        step = phi * np.log(phi / wrong) / dphi if phi > 0.0 and dphi > 0.0 else np.nan
+        nxt = t + step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi) if hi < np.inf else 2.0 * t
+        done = abs(nxt - t) <= tol * max(unit, nxt)
+        t = nxt
+        if done:
+            break
+    s = t / unit
     return ScaleResult(scale=s, loss=f(s), degenerate=False)
 
 

@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from numpy.polynomial.hermite import hermgauss
 
 from relaycm.channel import (
@@ -34,6 +35,8 @@ from relaycm.gmi import (
 )
 from relaycm.harness import main
 from relaycm.scldpc import build_code, decode
+
+pytestmark = pytest.mark.slow
 
 
 def _report(capsys, num, ok, detail):

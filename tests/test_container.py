@@ -1,9 +1,16 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from relaycm.container import (
+    BLOCKED,
+    INTERLEAVED,
     RELAY,
     SOURCE,
+    SPREAD_POSITIONS,
     STRATEGIES,
     Container,
     destination_decode,
@@ -12,11 +19,12 @@ from relaycm.container import (
     select_llrs,
 )
 from relaycm.errors import CollisionError, ConfigError
-from relaycm.scldpc import build_code
+from relaycm.scldpc import DEFAULT_DC, build_code
 
 
-def _code(q=16, chain_len=8, coupling=2, seed=0):
-    return build_code(q, chain_len, coupling, seed=seed)
+@lru_cache(maxsize=32)
+def _code(q=16, chain_len=8, coupling=2, dc=DEFAULT_DC):
+    return build_code(q, chain_len, coupling, seed=0, dc=dc)
 
 
 def test_blocked_takes_a_leading_run():
@@ -101,20 +109,35 @@ def test_read_returns_what_was_written():
     np.testing.assert_array_equal(cont.read(RELAY), ur)
 
 
-def test_relay_add_equals_joint_encoding():
-    rng = np.random.default_rng(1)
-    for coupling, chain_len in ((2, 8), (3, 9)):
-        code = _code(q=8, chain_len=chain_len, coupling=coupling)
-        for strategy in STRATEGIES:
-            for _ in range(5):
-                cont = plan_container(code, 0.5, strategy)
-                us = rng.integers(0, 2, len(cont.source_slots), dtype=np.uint8)
-                ur = rng.integers(0, 2, len(cont.relay_slots), dtype=np.uint8)
-                cont.write_source(us)
-                spliced = relay_add(cont, cont.encode(), ur)
-                joint = code.encode(cont.payload)
-                np.testing.assert_array_equal(spliced, joint)
-                assert not code.syndrome(spliced).any()
+@st.composite
+def _code_shapes(draw):
+    coupling = draw(st.sampled_from([2, 3]))
+    return (draw(st.sampled_from([2, 3, 4, 8, 16, 32])), draw(st.integers(coupling, 10)),
+            coupling, draw(st.sampled_from([6, 9, 12, 15, 18])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=_code_shapes(), strategy=st.sampled_from(STRATEGIES),
+       fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(shape=(8, 8, 2, DEFAULT_DC), strategy=INTERLEAVED, fraction=0.5, seed=1)
+@example(shape=(8, 9, 3, DEFAULT_DC), strategy=SPREAD_POSITIONS, fraction=0.5, seed=1)
+@example(shape=(8, 9, 3, DEFAULT_DC), strategy=BLOCKED, fraction=1.0, seed=1)
+def test_relay_add_equals_joint_encoding(shape, strategy, fraction, seed):
+    code = _code(*shape)
+    try:
+        cont = plan_container(code, fraction, strategy)
+    except ConfigError:
+        # only whole-position placement can leave the source no room
+        assert strategy == SPREAD_POSITIONS
+        reject()
+    rng = np.random.default_rng(seed)
+    us = rng.integers(0, 2, len(cont.source_slots), dtype=np.uint8)
+    ur = rng.integers(0, 2, len(cont.relay_slots), dtype=np.uint8)
+    cont.write_source(us)
+    spliced = relay_add(cont, cont.encode(), ur)
+    joint = code.encode(cont.payload)
+    np.testing.assert_array_equal(spliced, joint)
+    assert not code.syndrome(spliced).any()
 
 
 def test_relay_add_wipes_its_own_region_only():

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
-from relaycm.channel import NOISELESS_SNR
-from relaycm.constellation import build_constellation
+from relaycm.channel import NOISELESS_SNR, AwgnSegment, transmit
+from relaycm.constellation import build_constellation, indices_for_bits
 from relaycm.demapper import Demapper
 from relaycm.errors import ConfigError
 from relaycm.gmi import (
@@ -194,3 +196,113 @@ def test_required_snr_bisection_contract():
     assert required_snr2_db(lambda s: -1.0) == np.inf
     assert required_snr2_db(lambda s: 1.0) == -2.0
     assert required_snr2_db(lambda s: s - 7.0, lo_db=7.5) == 7.5
+
+
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _reference_scale(llrs, bits, tol=1e-6):
+    # the golden-section search that optimal_llr_scale replaced
+    llrs = np.atleast_2d(llrs)
+    bits = np.atleast_2d(bits)
+    m = llrs.shape[1]
+    z = (1.0 - 2.0 * bits.astype(np.float64)) * llrs
+
+    def f(zeta):
+        return float(np.logaddexp(0.0, -zeta * z).mean()) * m / np.log(2.0)
+
+    if not np.any(z):
+        return 0.0, f(0.0)
+    hi = 8.0
+    while f(hi) < f(_INVPHI * hi):
+        hi *= 2.0
+        if hi > 2.0 ** 40:
+            return 0.0, f(0.0)
+    a, b = 0.0, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    s = (a + b) / 2.0
+    return s, f(s)
+
+
+def _conventional_llrs(name, snr_db, n, seed):
+    c = build_constellation(name)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=n * c.bits_per_symbol, dtype=np.uint8)
+    x = c.symbols[indices_for_bits(c, bits)]
+    snr = 10 ** (snr_db / 10)
+    y = transmit(x, AwgnSegment(snr=snr), rng)
+    return Demapper.conventional(c, snr).llrs(y), bits.reshape(n, -1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(["qam16", "qam32"]), snr_db=st.floats(0.0, 25.0),
+       n=st.integers(2, 5000), prescale=st.floats(0.05, 20.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_scale_matches_golden_section_reference(name, snr_db, n, prescale, seed):
+    llrs, bits = _conventional_llrs(name, snr_db, n, seed)
+    llrs = prescale * llrs
+    res = optimal_llr_scale(llrs, bits)
+    ref_scale, ref_loss = _reference_scale(llrs, bits)
+    assert res.loss <= ref_loss + 1e-12
+    z = (1.0 - 2.0 * bits) * llrs
+    if np.any(z < 0.0) and z.sum() > 0.0:
+        # a finite optimum above 0, which the reference brackets
+        assert abs(res.scale - ref_scale) <= 1e-5 * max(1.0, res.scale)
+
+
+def test_step_off_the_bracket_falls_back():
+    # very confident right metrics, a moderate cluster and two barely
+    # wrong ones: a Newton step from above the optimum lands below the
+    # bracket, and only the safeguard brings it back
+    llrs = np.array([50.0] * 3 + [1.0] * 3 + [-1e-4] * 2)[:, None]
+    bits = np.zeros_like(llrs, dtype=np.uint8)
+    res = optimal_llr_scale(llrs, bits)
+    ref_scale, ref_loss = _reference_scale(llrs, bits)
+    assert abs(res.scale - ref_scale) <= 1e-5 * ref_scale
+    assert res.loss <= ref_loss + 1e-12
+
+
+@pytest.mark.parametrize("llrs, bits", [
+    ([[1e-11, -2e-11], [3e-11, -1e-11]], [[0, 1], [0, 1]]),        # separable
+    ([[2e-11, -1e-11, 5e-12], [-3e-11, 1e-11, 4e-11], [1e-11, 2e-11, -6e-12]],
+     [[0, 0, 0], [1, 1, 0], [0, 1, 1]]),                            # not separable
+])
+def test_scaled_rate_ignores_llr_magnitude(llrs, bits):
+    llrs = np.array(llrs)
+    bits = np.array(bits, dtype=np.uint8)
+    rates = [gmi_with_optimal_scale(c * llrs, bits)[0].value for c in (1e-11, 1e-3, 1.0, 1e3)]
+    assert rates[0] > 0.0
+    np.testing.assert_allclose(rates, rates[0], rtol=0.0, atol=1e-9)
+
+
+def test_separable_metrics_reach_zero_loss_at_finite_scale():
+    llrs = np.array([[1e-11, -2e-11], [3e-11, -1e-11]])
+    bits = np.array([[0, 1], [0, 1]], dtype=np.uint8)
+    res = optimal_llr_scale(llrs, bits)
+    assert np.isfinite(res.scale) and res.scale > 0.0
+    assert res.loss == 0.0
+    assert not res.degenerate
+    est, _ = gmi_with_optimal_scale(llrs, bits)
+    assert est.value == 2.0
+
+
+def test_anti_informative_metrics_scale_to_zero():
+    bits = np.array([[0, 1, 0], [1, 0, 0]], dtype=np.uint8)
+    for llrs in ([[-2.0, 1.0, 0.5], [3.0, -0.5, 1.0]],     # wrong on average
+                 [[2.0, 1.0, 0.0], [1.0, 0.0, 0.0]]):      # L'(0) == 0 exactly
+        res = optimal_llr_scale(np.array(llrs), bits)
+        assert res.scale == 0.0
+        assert res.loss == 3.0
+        assert not res.degenerate
+

@@ -2,11 +2,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaycm.errors import ConfigError
-from relaycm.scldpc import SpatiallyCoupledCode, build_code, decode, design_rate
+from relaycm.scldpc import DEFAULT_DC, SpatiallyCoupledCode, build_code, decode, design_rate
 
 
 def test_design_rate_arithmetic():
@@ -27,9 +27,26 @@ def test_dimensions_and_rate():
     assert len(code.tail_vars) == 6 * (code.coupling - 1) * code.q
 
 
-def test_encode_is_systematic_and_valid():
-    code = build_code(16, 8, 2, seed=0)
-    rng = np.random.default_rng(0)
+@lru_cache(maxsize=64)
+def _shared_code(q, chain_len, coupling, dc=DEFAULT_DC):
+    # one instance per shape, so examples also decode on a layout that an
+    # earlier example, with another window, built and cached
+    return build_code(q, chain_len, coupling, seed=0, dc=dc)
+
+
+@st.composite
+def _code_shapes(draw):
+    coupling = draw(st.sampled_from([2, 3]))
+    return (draw(st.sampled_from([2, 3, 4, 8, 16, 32])), draw(st.integers(coupling, 10)),
+            coupling, draw(st.sampled_from([6, 9, 12, 15, 18])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=_code_shapes(), seed=st.integers(0, 2**32 - 1))
+@example(shape=(16, 8, 2, DEFAULT_DC), seed=0)
+def test_encode_is_systematic_and_valid(shape, seed):
+    code = _shared_code(*shape)
+    rng = np.random.default_rng(seed)
     for _ in range(3):
         u = rng.integers(0, 2, code.k, dtype=np.uint8)
         x = code.encode(u)
@@ -37,9 +54,12 @@ def test_encode_is_systematic_and_valid():
         assert not code.syndrome(x).any()
 
 
-def test_encode_is_linear():
-    code = build_code(16, 8, 2, seed=0)
-    rng = np.random.default_rng(1)
+@settings(max_examples=60, deadline=None)
+@given(shape=_code_shapes(), seed=st.integers(0, 2**32 - 1))
+@example(shape=(16, 8, 2, DEFAULT_DC), seed=1)
+def test_encode_is_linear(shape, seed):
+    code = _shared_code(*shape)
+    rng = np.random.default_rng(seed)
     u1 = rng.integers(0, 2, code.k, dtype=np.uint8)
     u2 = rng.integers(0, 2, code.k, dtype=np.uint8)
     assert np.array_equal(code.encode(u1) ^ code.encode(u2), code.encode(u1 ^ u2))
@@ -244,11 +264,6 @@ def _reference_decode(code, llrs, window=None, iterations=20, saturation=25.0):
     return hard, flags, total_iter, llr
 
 
-@lru_cache(maxsize=None)
-def _shared_code(q, chain_len, coupling):
-    # one instance per shape, so examples also decode on a layout that an
-    # earlier example, with another window, built and cached
-    return build_code(q, chain_len, coupling, seed=0)
 
 
 def _noisy_llrs(code, sigma, zero_frac, rng):
