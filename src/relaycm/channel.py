@@ -11,6 +11,7 @@ i | sent symbol j); chaining hops multiplies matrices in traversal order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,20 +163,32 @@ class LinkModel:
         if self.relay_penalty_db < 0:
             raise ConfigError("relay penalty must be >= 0")
 
+    def hop1_snr_db(self) -> float | None:
+        """Hop-1 snr in dB; None when no relay is deployed."""
+        if self.spans_hop1 == 0:
+            return None
+        return self.snr_ref_db - 10.0 * math.log10(self.spans_hop1)
+
     def hop_snrs(self) -> tuple:
         """Linear snr of both hops; hop 1 is None when no relay is deployed."""
         s1 = None if self.spans_hop1 == 0 else snr_for_hop(self, self.spans_hop1)
-        s2_db = self.snr_ref_db - 10.0 * np.log10(self.spans_hop2)
+        s2_db = self.snr_ref_db - 10.0 * math.log10(self.spans_hop2)
         if self.spans_hop1 > 0:
             s2_db -= self.relay_penalty_db
         return s1, 10.0 ** (s2_db / 10.0)
+
+    def max_spans_hop2(self, snr2_db: float) -> int:
+        """Most hop-2 spans that still deliver snr2_db, after the relay
+        penalty when a relay feeds hop 2; below 1 when none do."""
+        avail_db = self.snr_ref_db - (self.relay_penalty_db if self.spans_hop1 > 0 else 0.0)
+        return math.floor(10.0 ** ((avail_db - snr2_db) / 10.0) + 1e-9)
 
 
 def snr_for_hop(link: LinkModel, spans: int) -> float:
     """Linear snr after the given number of spans, before any relay penalty."""
     if spans < 1:
         raise ConfigError("a hop needs at least one span")
-    return 10.0 ** ((link.snr_ref_db - 10.0 * np.log10(spans)) / 10.0)
+    return 10.0 ** ((link.snr_ref_db - 10.0 * math.log10(spans)) / 10.0)
 
 
 def power_normalizing_eta(snr1: float) -> float:

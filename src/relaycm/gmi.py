@@ -15,6 +15,7 @@ safeguarded Newton solve (optimal_llr_scale).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,9 @@ class ScaleResult:
     degenerate: bool = False
 
 
-def _bit_losses(llrs: np.ndarray, bits: np.ndarray, scale: float = 1.0) -> np.ndarray:
+def _bit_losses(llrs: np.ndarray, bits: np.ndarray) -> np.ndarray:
     z = (1.0 - 2.0 * np.asarray(bits, dtype=np.float64)) * np.asarray(llrs)
-    return np.logaddexp(0.0, -scale * z) / _LN2
+    return np.logaddexp(0.0, -z) / _LN2
 
 
 def gmi_from_llrs(llrs: np.ndarray, bits: np.ndarray) -> GmiEstimate:
@@ -169,6 +170,25 @@ def optimal_llr_scale(llrs: np.ndarray, bits: np.ndarray, tol: float = 1e-6) -> 
     return ScaleResult(scale=s, loss=f(s), degenerate=False)
 
 
+def relay_llrs(c: Constellation, y2: np.ndarray, snr1: float, snr2: float, variant: str,
+               dmc: DmcMatrix | None = None) -> np.ndarray:
+    """Destination LLRs of two-hop traffic received as y2, from the
+    demapper that the relay variant pairs with.
+
+    A scaling relay is demapped conventionally at the composite snr,
+    after undoing its gain; a matched hard-decision receiver uses the
+    equivalent demapper over the relay's transition matrix dmc; the
+    relay-blind legacy receiver demaps conventionally at snr2 alone.
+    """
+    if variant == SCALE_RELAY:
+        eta = power_normalizing_eta(snr1)
+        dem = Demapper.conventional(c, scale_relay_equivalent_snr(snr1, snr2))
+        return dem.llrs(y2 / eta)
+    if variant == HD_MATCHED:
+        return Demapper.equivalent(c, snr2, dmc).llrs(y2)
+    return Demapper.conventional(c, snr2).llrs(y2)
+
+
 def gmi_with_optimal_scale(llrs: np.ndarray, bits: np.ndarray):
     """Rate after per-batch scalar rescaling; returns (estimate, scaling)."""
     res = optimal_llr_scale(llrs, bits)
@@ -193,7 +213,6 @@ class RelayGmiEvaluator:
         variant: str,
         n_symbols: int,
         seed: int,
-        dmc: DmcMatrix | None = None,
         dmc_method: str = "analytic",
         dmc_samples: int = 200_000,
     ):
@@ -219,16 +238,14 @@ class RelayGmiEvaluator:
         else:
             self._relay_out = c.symbols[nearest_index(y1, c.symbols)]
             if variant == HD_MATCHED:
-                if dmc is None:
-                    dmc = transition_matrix(
-                        c,
-                        self.snr1,
-                        RelayFunction.hard_decision(),
-                        method=dmc_method,
-                        mc_samples=dmc_samples,
-                        seed=int(derived_rng(seed, 3).integers(0, 2 ** 31)),
-                    )
-                self.dmc = dmc
+                self.dmc = transition_matrix(
+                    c,
+                    self.snr1,
+                    RelayFunction.hard_decision(),
+                    method=dmc_method,
+                    mc_samples=dmc_samples,
+                    seed=int(derived_rng(seed, 3).integers(0, 2 ** 31)),
+                )
             else:
                 self.dmc = None
 
@@ -242,17 +259,10 @@ class RelayGmiEvaluator:
 
     def two_hop_gmi(self, snr2: float) -> GmiEstimate:
         """Rate of traffic that crosses both hops, under this variant."""
-        y2 = self._receive(snr2)
-        if self.variant == SCALE_RELAY:
-            eta = power_normalizing_eta(self.snr1)
-            dem = Demapper.conventional(self.c, scale_relay_equivalent_snr(self.snr1, snr2))
-            return gmi_from_llrs(dem.llrs(y2 / eta), self.bits)
-        if self.variant == HD_MATCHED:
-            dem = Demapper.equivalent(self.c, snr2, self.dmc)
-            return gmi_from_llrs(dem.llrs(y2), self.bits)
-        dem = Demapper.conventional(self.c, snr2)
-        est, _ = gmi_with_optimal_scale(dem.llrs(y2), self.bits)
-        return est
+        llrs = relay_llrs(self.c, self._receive(snr2), self.snr1, snr2, self.variant, self.dmc)
+        if self.variant == HD_LEGACY_SOPT:
+            return gmi_with_optimal_scale(llrs, self.bits)[0]
+        return gmi_from_llrs(llrs, self.bits)
 
     def single_hop_gmi(self, snr2: float) -> GmiEstimate:
         """Rate of traffic injected at the relay, seeing only hop 2."""
@@ -260,25 +270,31 @@ class RelayGmiEvaluator:
         dem = Demapper.conventional(self.c, snr2)
         return gmi_from_llrs(dem.llrs(y), self._bits_single)
 
-    def mixture_margin(self, snr2: float, relay_fraction: float, rate: float) -> float:
-        """Decodability margin of a codeword whose info positions are
+    def mixture_rate(self, snr2: float, relay_fraction: float, rate: float) -> tuple:
+        """Rate (value, ci95) of a codeword whose info positions are
         split between relay-injected and source traffic.
 
         A fraction relay_fraction of the info bits rides only hop 2; the
         rest of the codeword (source info and all parity) crosses both
-        hops.  Positive margin means the mixed word is inside the rate
-        region."""
+        hops.  The rate is the share-weighted mean of the two rates, and
+        the half-width combines theirs in quadrature."""
         if not 0.0 <= relay_fraction <= 1.0:
             raise ConfigError("relay fraction must lie in [0, 1]")
         if not 0.0 < rate <= 1.0:
             raise ConfigError("code rate must lie in (0, 1]")
-        m = self.c.bits_per_symbol
-        g2 = self.two_hop_gmi(snr2).value
+        e2 = self.two_hop_gmi(snr2)
         share = relay_fraction * rate
         if share == 0.0:
-            return g2 - m * rate
-        g1 = self.single_hop_gmi(snr2).value
-        return share * g1 + (1.0 - share) * g2 - m * rate
+            return e2.value, e2.ci95
+        e1 = self.single_hop_gmi(snr2)
+        return (share * e1.value + (1.0 - share) * e2.value,
+                math.hypot(share * e1.ci95, (1.0 - share) * e2.ci95))
+
+    def mixture_margin(self, snr2: float, relay_fraction: float, rate: float) -> float:
+        """Decodability margin of the mixed codeword of mixture_rate:
+        positive means the mixed word is inside the rate region."""
+        value, _ = self.mixture_rate(snr2, relay_fraction, rate)
+        return value - self.c.bits_per_symbol * rate
 
 
 def single_hop_gmi(c: Constellation, snr: float, n_symbols: int, seed: int) -> GmiEstimate:

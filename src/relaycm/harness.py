@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -27,19 +28,29 @@ import numpy as np
 from . import __version__
 from .channel import (
     NOISELESS_SNR,
+    AwgnSegment,
+    LinkModel,
     RelayFunction,
     complex_noise_unit,
     derived_rng,
     nearest_index,
     power_normalizing_eta,
-    scale_relay_equivalent_snr,
     transition_matrix,
+    transmit,
 )
-from .constellation import bits_for_indices, build_constellation, indices_for_bits
+from .constellation import bits_for_indices, build_constellation, indices_for_bits, packaged_table
 from .container import STRATEGIES, plan_container, relay_add, select_llrs
-from .demapper import Demapper
+from .demapper import Demapper, piecewise_linear_fit
 from .errors import ConfigError, NumericalDegeneracyError
-from .gmi import HD_MATCHED, SCALE_RELAY, VARIANTS, RelayGmiEvaluator, required_snr2_db
+from .gmi import (
+    HD_MATCHED,
+    SCALE_RELAY,
+    VARIANTS,
+    RelayGmiEvaluator,
+    relay_llrs,
+    required_snr2_db,
+    single_hop_gmi,
+)
 from .scldpc import build_code, decode
 
 KINDS = ("snr_region", "distance_contour", "coded_contour")
@@ -213,72 +224,52 @@ def _run_pool(fn, tasks, workers):
         return list(ex.map(fn, tasks))
 
 
-def _mixture_stats(ev, snr2_lin, f, rate):
-    """Value and combined half-width of the mixed rate at one snr2."""
-    e2 = ev.two_hop_gmi(snr2_lin)
-    share = f * rate
-    if share == 0.0:
-        return e2.value, e2.ci95
-    e1 = ev.single_hop_gmi(snr2_lin)
-    val = share * e1.value + (1.0 - share) * e2.value
-    ci = math.hypot(share * e1.ci95, (1.0 - share) * e2.ci95)
-    return val, ci
-
-
-def _region_task(a):
-    c = build_constellation(a["constellation"])
-    snr1 = 10.0 ** (a["snr1_db"] / 10.0)
-    ev = RelayGmiEvaluator(
-        c, snr1, a["variant"], a["n_symbols"], a["seed"],
-        dmc_method=a["dmc_method"], dmc_samples=a["dmc_samples"],
-    )
-    f, rate = a["f"], a["rate"]
+def _required_snr2(cfg, snr1, variant, f, seed):
+    """Rate evaluator of one grid point, and the smallest snr2 (dB) at
+    which its mixed rate carries the code rate (inf when none does)."""
+    sweep = cfg["sweep"]
+    c = build_constellation(cfg["link"]["constellation"])
+    ev = RelayGmiEvaluator(c, snr1, variant, sweep["n_symbols"], seed,
+                           dmc_method=sweep["dmc_method"], dmc_samples=sweep["dmc_samples"])
 
     def margin(db):
-        return ev.mixture_margin(10.0 ** (db / 10.0), f, rate)
+        return ev.mixture_margin(10.0 ** (db / 10.0), f, sweep["rate"])
 
-    req = required_snr2_db(margin, a["lo"], a["hi"], a["tol"])
-    row = {"index": a["index"], "x": a["snr1_db"]}
-    if math.isinf(req):
-        row.update(y=None, gmi_at_solution=None, ci=None)
-    else:
-        val, ci = _mixture_stats(ev, 10.0 ** (req / 10.0), f, rate)
+    return ev, required_snr2_db(margin, sweep["snr2_lo_db"], sweep["snr2_hi_db"],
+                                sweep["tol_db"])
+
+
+def _region_task(t):
+    ev, req = _required_snr2(t["cfg"], 10.0 ** (t["x"] / 10.0), t["variant"], t["f"], t["seed"])
+    row = {"x": t["x"]}
+    if not math.isinf(req):
+        val, ci = ev.mixture_rate(10.0 ** (req / 10.0), t["f"], t["cfg"]["sweep"]["rate"])
         row.update(y=req, gmi_at_solution=val, ci=ci)
     return row
 
 
-def _distance_task(a):
-    c = build_constellation(a["constellation"])
-    n1 = a["n1"]
-    if n1 == 0:
+def _distance_task(t):
+    cfg, f = t["cfg"], t["f"]
+    link, bus = cfg["link"], cfg["run"]["bus_rate_gbit"]
+    budget = LinkModel(link["snr_ref_db"], link["span_km"], link["relay_penalty_db"],
+                       spans_hop1=t["x"])
+    snr1_db = budget.hop1_snr_db()
+    row = {"x": float(t["x"]), "snr1_db": snr1_db,
+           "r_source": (1.0 - f) * bus, "r_relay": f * bus}
+    if snr1_db is None:
         # no relay: one uninterrupted link, rate budget all on the source
-        snr1, variant, f, penalty = NOISELESS_SNR, HD_MATCHED, 0.0, 0.0
-        snr1_db = None
+        snr1, variant, f = NOISELESS_SNR, HD_MATCHED, 0.0
     else:
-        snr1_db = a["snr_ref_db"] - 10.0 * math.log10(n1)
-        snr1 = 10.0 ** (snr1_db / 10.0)
-        variant, f, penalty = a["variant"], a["f"], a["penalty_db"]
-    ev = RelayGmiEvaluator(
-        c, snr1, variant, a["n_symbols"], a["seed"],
-        dmc_method=a["dmc_method"], dmc_samples=a["dmc_samples"],
-    )
-    rate = a["rate"]
-
-    def margin(db):
-        return ev.mixture_margin(10.0 ** (db / 10.0), f, rate)
-
-    req = required_snr2_db(margin, a["lo"], a["hi"], a["tol"])
-    row = {"index": a["index"], "x": float(n1), "snr1_db": snr1_db}
+        snr1, variant = 10.0 ** (snr1_db / 10.0), t["variant"]
+    ev, req = _required_snr2(cfg, snr1, variant, f, t["seed"])
     if math.isinf(req):
-        row.update(y=None, gmi_at_solution=None, ci=None, req_db=None)
         return row
-    avail_db = a["snr_ref_db"] - penalty - req
-    n2 = int(math.floor(10.0 ** (avail_db / 10.0) + 1e-9))
-    if n2 < 1:
-        row.update(y=None, gmi_at_solution=None, ci=None, req_db=req)
-        return row
-    val, ci = _mixture_stats(ev, 10.0 ** (req / 10.0), f, rate)
-    row.update(y=float(n2), gmi_at_solution=val, ci=ci, req_db=req)
+    row["req_db"] = req
+    n2 = budget.max_spans_hop2(req)
+    if n2 >= 1:
+        val, ci = ev.mixture_rate(10.0 ** (req / 10.0), f, cfg["sweep"]["rate"])
+        row.update(y=float(n2), gmi_at_solution=val, ci=ci,
+                   total_km=(row["x"] + float(n2)) * budget.span_length_km)
     return row
 
 
@@ -287,88 +278,106 @@ def _cached_code(q, chain_len, coupling, seed):
     return build_code(q, chain_len, coupling, seed=seed)
 
 
-def _coded_ber(a, code, dmc, c, snr2):
+def _coded_ber(t, code, c, dmc, snr1, snr2):
     """Info-bit error rate over a batch of container codewords.
 
     Randomness is pinned per codeword index, and second-hop noise is a
     fixed unit draw rescaled by snr2, so repeated queries during a
     bisection reuse identical bits and noise.
     """
-    snr1 = 10.0 ** (a["snr1_db"] / 10.0)
-    f, strategy, variant = a["f"], a["strategy"], a["variant"]
+    cc, seed, variant = t["cfg"]["code"], t["seed"], t["variant"]
     errors = 0
-    total = 0
-    for j in range(a["n_codewords"]):
-        cont = plan_container(code, f, strategy)
-        rng_bits = derived_rng(a["seed"], j, 0)
+    for j in range(cc["n_codewords"]):
+        cont = plan_container(code, t["f"], t["strategy"])
+        rng_bits = derived_rng(seed, j, 0)
         us = rng_bits.integers(0, 2, size=len(cont.source_slots), dtype=np.uint8)
         ur = rng_bits.integers(0, 2, size=len(cont.relay_slots), dtype=np.uint8)
         cont.write_source(us)
-        x = cont.encode()
-        sym = c.symbols[indices_for_bits(c, x)]
-        z1 = derived_rng(a["seed"], j, 1).standard_normal((2, sym.size))
-        y1 = sym + math.sqrt(0.5 / snr1) * (z1[0] + 1j * z1[1])
-        unit2 = complex_noise_unit(derived_rng(a["seed"], j, 2), sym.size)
-
+        sym = c.symbols[indices_for_bits(c, cont.encode())]
+        y1 = transmit(sym, AwgnSegment(snr1), derived_rng(seed, j, 1))
         if variant == SCALE_RELAY:
             relay_out = power_normalizing_eta(snr1) * y1
-            y2 = relay_out + math.sqrt(1.0 / snr2) * unit2
-            eta = power_normalizing_eta(snr1)
-            dem = Demapper.conventional(c, scale_relay_equivalent_snr(snr1, snr2))
-            lam = dem.llrs(y2 / eta).ravel()
         else:
             xh = bits_for_indices(c, nearest_index(y1, c.symbols))
             x2 = relay_add(cont, xh, ur) if len(cont.relay_slots) else xh
-            sym2 = c.symbols[indices_for_bits(c, x2)]
-            y2 = sym2 + math.sqrt(1.0 / snr2) * unit2
-            lam2 = Demapper.equivalent(c, snr2, dmc).llrs(y2).ravel()
-            if len(cont.relay_slots):
-                lam1 = Demapper.conventional(c, snr2).llrs(y2).ravel()
-                lam = select_llrs(cont, lam2, lam1)
-            else:
-                lam = lam2
-        res = decode(code, lam, window=a["window"], iterations=a["iterations"],
-                     saturation=a["saturation"])
+            relay_out = c.symbols[indices_for_bits(c, x2)]
+        unit2 = complex_noise_unit(derived_rng(seed, j, 2), sym.size)
+        y2 = relay_out + math.sqrt(1.0 / snr2) * unit2
+        lam = relay_llrs(c, y2, snr1, snr2, variant, dmc).ravel()
+        if len(cont.relay_slots):
+            # relay-injected positions only crossed hop 2
+            lam = select_llrs(cont, lam, Demapper.conventional(c, snr2).llrs(y2).ravel())
+        res = decode(code, lam, window=cc["window"], iterations=cc["iterations"],
+                     saturation=cc["saturation"])
         errors += int(np.count_nonzero(res.info_bits(code) != cont.payload))
-        total += code.k
-    return errors / total
+    return errors / (cc["n_codewords"] * code.k)
 
 
-def _coded_task(a):
-    c = build_constellation(a["constellation"])
-    code = _cached_code(a["q"], a["chain_len"], a["coupling"], a["code_seed"])
-    snr1 = 10.0 ** (a["snr1_db"] / 10.0)
-    if a["variant"] == SCALE_RELAY:
-        dmc = None
-    else:
-        dmc = transition_matrix(c, snr1, RelayFunction.hard_decision(),
-                                method=a["dmc_method"], mc_samples=a["dmc_samples"],
-                                seed=a["seed"])
-    cont = plan_container(code, a["f"], a["strategy"])
+def _coded_task(t):
+    sweep, cc = t["cfg"]["sweep"], t["cfg"]["code"]
+    c = build_constellation(t["cfg"]["link"]["constellation"])
+    code = _cached_code(cc["q"], cc["chain_len"], t["coupling"], cc["seed"])
+    snr1 = 10.0 ** (t["x"] / 10.0)
+    dmc = None if t["variant"] == SCALE_RELAY else transition_matrix(
+        c, snr1, RelayFunction.hard_decision(), method=sweep["dmc_method"],
+        mc_samples=sweep["dmc_samples"], seed=t["seed"])
+    cont = plan_container(code, t["f"], t["strategy"])
 
-    def margin(db):
-        return a["ber_target"] - _coded_ber(a, code, dmc, c, 10.0 ** (db / 10.0))
+    def ber(db):
+        return _coded_ber(t, code, c, dmc, snr1, 10.0 ** (db / 10.0))
 
-    req = required_snr2_db(margin, a["lo"], a["hi"], a["tol"])
-    row = {"index": a["index"], "x": a["snr1_db"],
-           "realized_f": cont.realized_fraction}
-    if math.isinf(req):
-        row.update(y=None, ber=None)
-    else:
-        row.update(y=req, ber=_coded_ber(a, code, dmc, c, 10.0 ** (req / 10.0)))
+    req = required_snr2_db(lambda db: cc["ber_target"] - ber(db),
+                           sweep["snr2_lo_db"], sweep["snr2_hi_db"], cc["tol_db"])
+    row = {"x": t["x"], "realized_f": cont.realized_fraction}
+    if not math.isinf(req):
+        row.update(y=req, ber=ber(req))
     return row
+
+
+# Per sweep kind: output file stem and title, the [sweep] key of the grid,
+# the contour axes as (name, section, key) in nesting order, the axes
+# whose index joins the grid index in a point's seed, and per contour the
+# CSV name, label, further header lines and columns.
+_SWEEPS = {
+    "snr_region": {
+        "stem": "region", "title": "snr-region", "grid": "snr1_db",
+        "axes": (("variant", "link", "variants"), ("f", "sweep", "f")),
+        "seed_axes": ("f",),
+        "csv": "region_{variant}_f{f:g}.csv",
+        "label": "variant={variant} f={f:g}",
+        "header": ("rate={sweep[rate]:g}",),
+        "monotone": True,
+        "columns": ("x", "y", "gmi_at_solution", "ci"),
+    },
+    "distance_contour": {
+        "stem": "distance", "title": "distance-contour", "grid": "spans1",
+        "axes": (("variant", "link", "variants"), ("f", "sweep", "f")),
+        "seed_axes": ("f",),
+        "csv": "distance_{variant}_f{f:g}.csv",
+        "label": "variant={variant} f={f:g}",
+        "header": ("rate={sweep[rate]:g}", "bus_rate_gbit={run[bus_rate_gbit]:g}",
+                   "span_km={link[span_km]:g}"),
+        "columns": ("x", "y", "gmi_at_solution", "ci", "snr1_db", "req_db",
+                    "total_km", "r_source", "r_relay"),
+    },
+    "coded_contour": {
+        "stem": "coded", "title": "coded-contour", "grid": "snr1_db",
+        "axes": (("variant", "link", "variants"), ("coupling", "code", "coupling"),
+                 ("strategy", "code", "strategies"), ("f", "sweep", "f")),
+        "seed_axes": ("coupling", "f"),
+        "csv": "coded_{strategy}_w{coupling}_f{f:g}.csv",
+        "label": "variant={variant} strategy={strategy} w={coupling} f={f:g}",
+        "header": ("ber_target={code[ber_target]:g}",),
+        "columns": ("x", "y", "ber", "realized_f"),
+    },
+}
 
 
 def _fmt(v):
     return "" if v is None else repr(float(v))
 
 
-def _write_csv(path, kind, cfg_hash, meta, columns, rows):
-    lines = [f"# relaycm {kind}", f"# config={cfg_hash}"]
-    lines += [f"# {m}" for m in meta]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in columns))
+def _write_lines(path, lines):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -379,196 +388,73 @@ def emit_plotdata(path, kind, cfg_hash, blocks):
     lines = [f"# relaycm {kind}", f"# config={cfg_hash}",
              "# columns: x y gmi_or_ber ci_or_blank"]
     for i, (label, rows) in enumerate(blocks):
-        lines.append("")
-        lines.append("")
-        lines.append(f"# index {i}: {label}")
+        lines += ["", "", f"# index {i}: {label}"]
         for row in rows:
             vals = [row.get("x"), row.get("y"),
                     row.get("gmi_at_solution", row.get("ber")), row.get("ci")]
             lines.append(" ".join(_fmt(v) if v is not None else "?" for v in vals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
-def _contour_monotone(rows, tol):
-    ys = [r["y"] for r in rows if r["y"] is not None]
-    return all(b <= a + tol for a, b in zip(ys, ys[1:]))
+def _sweep(kind, task, cfg, out_dir, workers, with_time):
+    """Evaluate every (contour, grid point) of a sweep over the pool and
+    write one CSV per contour, the gnuplot data file and the run record."""
+    t0 = time.monotonic()
+    spec = _SWEEPS[kind]
+    h = config_hash(cfg)
+    root = cfg["run"]["seed"]
+    grid = cfg["sweep"][spec["grid"]]
+    names = [name for name, _, _ in spec["axes"]]
+    contours = []
+    tasks = []
+    for combo in itertools.product(*(enumerate(cfg[sec][key]) for _, sec, key in spec["axes"])):
+        contour = {name: v for name, (_, v) in zip(names, combo)}
+        key = [i for name, (i, _) in zip(names, combo) if name in spec["seed_axes"]]
+        contours.append(contour)
+        for gi, x in enumerate(grid):
+            # the seed leaves the variant out: common random numbers across variants
+            tasks.append({"index": len(tasks), "seed": _point_seed(root, *key, gi),
+                          "cfg": cfg, "x": x, **contour})
+    results = _run_pool(task, tasks, workers)
 
-
-def _write_record(out_dir, name, record, with_time, t0):
+    cols = spec["columns"]
+    blocks = []
+    for i, contour in enumerate(contours):
+        rows = results[i * len(grid):(i + 1) * len(grid)]
+        label = spec["label"].format(**contour)
+        header = [label] + [line.format(**cfg) for line in spec["header"]]
+        if spec.get("monotone"):
+            ys = [r["y"] for r in rows if r.get("y") is not None]
+            tol = cfg["sweep"]["tol_db"] + 1e-9
+            contour["monotone"] = all(b <= a + tol for a, b in zip(ys, ys[1:]))
+            header.append(f"monotone={'yes' if contour['monotone'] else 'no'}")
+        lines = [f"# relaycm {spec['title']}", f"# config={h}", *(f"# {m}" for m in header),
+                 ",".join(cols), *(",".join(_fmt(r.get(k)) for k in cols) for r in rows)]
+        _write_lines(os.path.join(out_dir, spec["csv"].format(**contour)), lines)
+        blocks.append((label, rows))
+        contour["points"] = [{k: r.get(k) for k in cols} for r in rows]
+    emit_plotdata(os.path.join(out_dir, f"{spec['stem']}.dat"), spec["title"], h, blocks)
+    record = {"kind": kind, "config_hash": h, "version": __version__,
+              "seed": root, "contours": contours}
     if with_time:
         record["wall_time_s"] = round(time.monotonic() - t0, 3)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        json.dump(record, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_lines(os.path.join(out_dir, f"{spec['stem']}_record.json"),
+                 [json.dumps(record, sort_keys=True, indent=2)])
+    return record
 
 
 def run_snr_region(cfg, out_dir, workers, with_time=False):
-    t0 = time.monotonic()
-    h = config_hash(cfg)
-    link, sweep = cfg["link"], cfg["sweep"]
-    root = cfg["run"]["seed"]
-    grid = sweep["snr1_db"]
-    tasks = []
-    layout = []
-    for vi, variant in enumerate(link["variants"]):
-        for fi, f in enumerate(sweep["f"]):
-            layout.append((variant, f))
-            for gi, snr1_db in enumerate(grid):
-                tasks.append({
-                    "index": len(tasks), "variant": variant, "f": f,
-                    "snr1_db": snr1_db, "rate": sweep["rate"],
-                    "constellation": link["constellation"],
-                    "n_symbols": sweep["n_symbols"],
-                    "dmc_method": sweep["dmc_method"],
-                    "dmc_samples": sweep["dmc_samples"],
-                    "lo": sweep["snr2_lo_db"], "hi": sweep["snr2_hi_db"],
-                    "tol": sweep["tol_db"],
-                    # common random numbers across variants at one point
-                    "seed": _point_seed(root, fi, gi),
-                })
-    results = _run_pool(_region_task, tasks, workers)
-    results.sort(key=lambda r: r["index"])
-
-    blocks = []
-    contours = []
-    npts = len(grid)
-    for ci_, (variant, f) in enumerate(layout):
-        rows = results[ci_ * npts:(ci_ + 1) * npts]
-        mono = _contour_monotone(rows, sweep["tol_db"] + 1e-9)
-        label = f"variant={variant} f={f:g}"
-        name = f"region_{variant}_f{f:g}.csv"
-        _write_csv(os.path.join(out_dir, name), "snr-region", h,
-                   [label, f"rate={sweep['rate']:g}", f"monotone={'yes' if mono else 'no'}"],
-                   ["x", "y", "gmi_at_solution", "ci"], rows)
-        blocks.append((label, rows))
-        contours.append({
-            "variant": variant, "f": f, "monotone": mono,
-            "points": [{k: r[k] for k in ("x", "y", "gmi_at_solution", "ci")} for r in rows],
-        })
-    emit_plotdata(os.path.join(out_dir, "region.dat"), "snr-region", h, blocks)
-    record = {"kind": "snr_region", "config_hash": h, "version": __version__,
-              "seed": root, "contours": contours}
-    _write_record(out_dir, "region_record.json", record, with_time, t0)
-    return record
+    return _sweep("snr_region", _region_task, cfg, out_dir, workers, with_time)
 
 
 def run_distance_contour(cfg, out_dir, workers, with_time=False):
-    t0 = time.monotonic()
-    h = config_hash(cfg)
-    run, link, sweep = cfg["run"], cfg["link"], cfg["sweep"]
-    root = run["seed"]
-    spans = sweep["spans1"]
-    tasks = []
-    layout = []
-    for vi, variant in enumerate(link["variants"]):
-        for fi, f in enumerate(sweep["f"]):
-            layout.append((variant, f))
-            for gi, n1 in enumerate(spans):
-                tasks.append({
-                    "index": len(tasks), "variant": variant, "f": f, "n1": n1,
-                    "rate": sweep["rate"], "constellation": link["constellation"],
-                    "snr_ref_db": link["snr_ref_db"],
-                    "penalty_db": link["relay_penalty_db"],
-                    "n_symbols": sweep["n_symbols"],
-                    "dmc_method": sweep["dmc_method"],
-                    "dmc_samples": sweep["dmc_samples"],
-                    "lo": sweep["snr2_lo_db"], "hi": sweep["snr2_hi_db"],
-                    "tol": sweep["tol_db"],
-                    "seed": _point_seed(root, fi, gi),
-                })
-    results = _run_pool(_distance_task, tasks, workers)
-    results.sort(key=lambda r: r["index"])
-
-    bus = run["bus_rate_gbit"]
-    span_km = link["span_km"]
-    blocks = []
-    contours = []
-    npts = len(spans)
-    for ci_, (variant, f) in enumerate(layout):
-        rows = results[ci_ * npts:(ci_ + 1) * npts]
-        for row in rows:
-            row["r_source"] = (1.0 - f) * bus
-            row["r_relay"] = f * bus
-            row["total_km"] = None if row["y"] is None else (row["x"] + row["y"]) * span_km
-        label = f"variant={variant} f={f:g}"
-        name = f"distance_{variant}_f{f:g}.csv"
-        _write_csv(os.path.join(out_dir, name), "distance-contour", h,
-                   [label, f"rate={sweep['rate']:g}",
-                    f"bus_rate_gbit={bus:g}", f"span_km={span_km:g}"],
-                   ["x", "y", "gmi_at_solution", "ci", "snr1_db", "req_db",
-                    "total_km", "r_source", "r_relay"], rows)
-        blocks.append((label, rows))
-        keep = ("x", "y", "gmi_at_solution", "ci", "snr1_db", "req_db",
-                "total_km", "r_source", "r_relay")
-        contours.append({"variant": variant, "f": f,
-                         "points": [{k: r.get(k) for k in keep} for r in rows]})
-    emit_plotdata(os.path.join(out_dir, "distance.dat"), "distance-contour", h, blocks)
-    record = {"kind": "distance_contour", "config_hash": h, "version": __version__,
-              "seed": root, "contours": contours}
-    _write_record(out_dir, "distance_record.json", record, with_time, t0)
-    return record
+    return _sweep("distance_contour", _distance_task, cfg, out_dir, workers, with_time)
 
 
 def run_coded_contour(cfg, out_dir, workers, with_time=False):
-    t0 = time.monotonic()
-    h = config_hash(cfg)
-    link, sweep, code = cfg["link"], cfg["sweep"], cfg["code"]
-    for v in link["variants"]:
-        if v not in (HD_MATCHED, SCALE_RELAY):
-            raise ConfigError("coded sweeps support the hd_matched and scale variants")
-    root = cfg["run"]["seed"]
-    grid = sweep["snr1_db"]
-    tasks = []
-    layout = []
-    for vi, variant in enumerate(link["variants"]):
-        for wi, w in enumerate(code["coupling"]):
-            for si, strategy in enumerate(code["strategies"]):
-                for fi, f in enumerate(sweep["f"]):
-                    layout.append((variant, w, strategy, f))
-                    for gi, snr1_db in enumerate(grid):
-                        tasks.append({
-                            "index": len(tasks), "variant": variant,
-                            "strategy": strategy, "f": f, "snr1_db": snr1_db,
-                            "constellation": link["constellation"],
-                            "q": code["q"], "chain_len": code["chain_len"],
-                            "coupling": w, "code_seed": code["seed"],
-                            "window": code["window"],
-                            "iterations": code["iterations"],
-                            "saturation": code["saturation"],
-                            "n_codewords": code["n_codewords"],
-                            "ber_target": code["ber_target"],
-                            "dmc_method": sweep["dmc_method"],
-                            "dmc_samples": sweep["dmc_samples"],
-                            "lo": sweep["snr2_lo_db"], "hi": sweep["snr2_hi_db"],
-                            "tol": code["tol_db"],
-                            "seed": _point_seed(root, wi, fi, gi),
-                        })
-    results = _run_pool(_coded_task, tasks, workers)
-    results.sort(key=lambda r: r["index"])
-
-    blocks = []
-    contours = []
-    npts = len(grid)
-    for ci_, (variant, w, strategy, f) in enumerate(layout):
-        rows = results[ci_ * npts:(ci_ + 1) * npts]
-        label = f"variant={variant} strategy={strategy} w={w} f={f:g}"
-        name = f"coded_{strategy}_w{w}_f{f:g}.csv"
-        _write_csv(os.path.join(out_dir, name), "coded-contour", h,
-                   [label, f"ber_target={code['ber_target']:g}"],
-                   ["x", "y", "ber", "realized_f"], rows)
-        blocks.append((label, rows))
-        contours.append({
-            "variant": variant, "coupling": w, "strategy": strategy, "f": f,
-            "points": [{k: r.get(k) for k in ("x", "y", "ber", "realized_f")}
-                       for r in rows],
-        })
-    emit_plotdata(os.path.join(out_dir, "coded.dat"), "coded-contour", h, blocks)
-    record = {"kind": "coded_contour", "config_hash": h, "version": __version__,
-              "seed": root, "contours": contours}
-    _write_record(out_dir, "coded_record.json", record, with_time, t0)
-    return record
+    if not set(cfg["link"]["variants"]) <= {HD_MATCHED, SCALE_RELAY}:
+        raise ConfigError("coded sweeps support the hd_matched and scale variants")
+    return _sweep("coded_contour", _coded_task, cfg, out_dir, workers, with_time)
 
 
 def run_selftest(out_dir):
@@ -580,8 +466,6 @@ def run_selftest(out_dir):
         nonlocal ok
         ok = ok and good
         lines.append(f"{'PASS' if good else 'FAIL'} {name} {detail}")
-
-    from .constellation import packaged_table
 
     c16 = build_constellation("qam16")
     c32 = build_constellation("qam32")
@@ -604,16 +488,14 @@ def run_selftest(out_dir):
     check("transition-columns", col < 1e-9,
           hashlib.sha256(dmc.probs.tobytes()).hexdigest()[:8])
 
-    from .gmi import single_hop_gmi
     est = single_hop_gmi(c16, 10 ** 1.2, 20_000, seed=7)
     check("single-hop-rate", 0.0 < est.value < 4.0, f"{est.value:.6f}")
 
-    from .scldpc import build_code as _bc, decode as _dec
-    code = _bc(8, 8, 2, seed=3)
+    code = build_code(8, 8, 2, seed=3)
     u = np.random.default_rng(5).integers(0, 2, code.k, dtype=np.uint8)
     x = code.encode(u)
     syn = int(code.syndrome(x).sum())
-    res = _dec(code, (1.0 - 2.0 * x) * 6.0)
+    res = decode(code, (1.0 - 2.0 * x) * 6.0)
     clean = syn == 0 and bool(res.converged.all()) and np.array_equal(res.bits, x)
     check("code-roundtrip", clean, f"n={code.n} k={code.k} rate={code.rate:.4f}")
 
@@ -629,7 +511,6 @@ def run_selftest(out_dir):
         good = good and np.array_equal(merged, code.encode(cont.payload))
     check("container-splice", good, "3 strategies")
 
-    from .demapper import piecewise_linear_fit
     fit = piecewise_linear_fit(lambda t: 2.5 * t + 1.0, 2)
     check("pwl-fit", fit.max_error < 1e-9, f"err={fit.max_error:.3e}")
 

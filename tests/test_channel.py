@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -188,6 +190,21 @@ def test_link_penalty_applies_to_second_hop_only():
     s1, s2 = base.hop_snrs()
     assert s1 is None
     assert 10 * np.log10(s2) == pytest.approx(20.0 - 10 * np.log10(4))
+
+
+def test_link_budget_hop1_snr_and_hop2_reach():
+    link = LinkModel(snr_ref_db=22.0, relay_penalty_db=1.5, spans_hop1=11)
+    assert link.hop1_snr_db() == 22.0 - 10.0 * math.log10(11)
+    assert 10.0 ** (link.hop1_snr_db() / 10.0) == link.hop_snrs()[0]
+    assert LinkModel(snr_ref_db=22.0, spans_hop1=0).hop1_snr_db() is None
+    # a required snr2 exactly n spans below the budget allows n spans, not n - 1
+    for n in (1, 4, 11, 40, 43):
+        need = 22.0 - 1.5 - 10.0 * math.log10(n)
+        assert link.max_spans_hop2(need) == n
+        assert link.max_spans_hop2(need + 1e-6) == n - 1
+    # the relay penalty is charged only when a relay feeds hop 2
+    assert LinkModel(snr_ref_db=22.0, relay_penalty_db=1.5).max_spans_hop2(12.0) == 10
+    assert link.max_spans_hop2(21.0) == 0
 
 
 def test_scale_relay_equivalent_snr_formula():

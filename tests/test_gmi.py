@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
-from relaycm.channel import NOISELESS_SNR, AwgnSegment, transmit
+from relaycm.channel import (
+    NOISELESS_SNR,
+    AwgnSegment,
+    RelayFunction,
+    power_normalizing_eta,
+    scale_relay_equivalent_snr,
+    transition_matrix,
+    transmit,
+)
 from relaycm.constellation import build_constellation, indices_for_bits
 from relaycm.demapper import Demapper
 from relaycm.errors import ConfigError
@@ -15,6 +23,7 @@ from relaycm.gmi import (
     gmi_from_llrs,
     gmi_with_optimal_scale,
     optimal_llr_scale,
+    relay_llrs,
     required_snr2_db,
     single_hop_gmi,
 )
@@ -152,18 +161,37 @@ def test_mixture_margin_matches_its_parts():
     c = build_constellation("qam16")
     ev = RelayGmiEvaluator(c, snr1=10 ** 1.6, variant="hd_matched", n_symbols=4000, seed=6)
     snr2 = 10 ** 1.3
-    g2 = ev.two_hop_gmi(snr2).value
-    g1 = ev.single_hop_gmi(snr2).value
+    e2 = ev.two_hop_gmi(snr2)
+    e1 = ev.single_hop_gmi(snr2)
     rate = 0.8
-    assert ev.mixture_margin(snr2, 0.0, rate) == g2 - 4 * rate
+    assert ev.mixture_rate(snr2, 0.0, rate) == (e2.value, e2.ci95)
+    assert ev.mixture_margin(snr2, 0.0, rate) == e2.value - 4 * rate
     f = 0.5
     share = f * rate
-    want = share * g1 + (1 - share) * g2 - 4 * rate
-    assert ev.mixture_margin(snr2, f, rate) == want
-    with pytest.raises(ConfigError):
-        ev.mixture_margin(snr2, 1.5, rate)
-    with pytest.raises(ConfigError):
-        ev.mixture_margin(snr2, 0.5, 0.0)
+    want = share * e1.value + (1 - share) * e2.value
+    assert ev.mixture_rate(snr2, f, rate) == (
+        want, math.hypot(share * e1.ci95, (1 - share) * e2.ci95))
+    assert ev.mixture_margin(snr2, f, rate) == want - 4 * rate
+    for bad in ((1.5, rate), (0.5, 0.0)):
+        with pytest.raises(ConfigError):
+            ev.mixture_rate(snr2, *bad)
+        with pytest.raises(ConfigError):
+            ev.mixture_margin(snr2, *bad)
+
+
+def test_relay_llrs_pick_the_variant_demapper():
+    c = build_constellation("qam16")
+    snr1, snr2 = 10 ** 1.5, 10 ** 1.2
+    rng = np.random.default_rng(8)
+    y2 = (rng.standard_normal(300) + 1j * rng.standard_normal(300)) * 0.7
+    dmc = transition_matrix(c, snr1, RelayFunction.hard_decision())
+    eta = power_normalizing_eta(snr1)
+    scale = Demapper.conventional(c, scale_relay_equivalent_snr(snr1, snr2)).llrs(y2 / eta)
+    assert np.array_equal(relay_llrs(c, y2, snr1, snr2, "scale"), scale)
+    assert np.array_equal(relay_llrs(c, y2, snr1, snr2, "hd_matched", dmc),
+                          Demapper.equivalent(c, snr2, dmc).llrs(y2))
+    assert np.array_equal(relay_llrs(c, y2, snr1, snr2, "hd_legacy_sopt"),
+                          Demapper.conventional(c, snr2).llrs(y2))
 
 
 def test_evaluator_rejects_bad_setup():
