@@ -1,11 +1,14 @@
+import configparser
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from relaycm.errors import ConfigError
 from relaycm.harness import (
+    _SCHEMA,
     _point_seed,
     config_hash,
     emit_plotdata,
@@ -259,3 +262,18 @@ def test_small_coded_sweep(tmp_path):
         assert float(ber) <= 1e-4
     record = json.loads((out / "coded_record.json").read_text())
     assert record["contours"][0]["strategy"] == "interleaved"
+
+
+def test_readme_schema_block_loads_as_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = load_config(_write(tmp_path / "schema.ini", block))
+    defaults = load_config(_write(tmp_path / "empty.ini", ""))
+    assert cfg["run"]["kind"] == "snr_region"
+    cfg["run"]["kind"] = defaults["run"]["kind"]
+    assert cfg == defaults
+    # and it lists every key
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    cp.read_string(block)
+    assert {sec: set(cp[sec]) for sec in cp.sections()} == {
+        sec: set(keys) for sec, keys in _SCHEMA.items()}
