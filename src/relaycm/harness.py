@@ -365,7 +365,7 @@ _SWEEPS = {
         "axes": (("variant", "link", "variants"), ("coupling", "code", "coupling"),
                  ("strategy", "code", "strategies"), ("f", "sweep", "f")),
         "seed_axes": ("coupling", "f"),
-        "csv": "coded_{strategy}_w{coupling}_f{f:g}.csv",
+        "csv": "coded_{variant}_{strategy}_w{coupling}_f{f:g}.csv",
         "label": "variant={variant} strategy={strategy} w={coupling} f={f:g}",
         "header": ("ber_target={code[ber_target]:g}",),
         "columns": ("x", "y", "ber", "realized_f"),

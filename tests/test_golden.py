@@ -114,7 +114,7 @@ _GOLDEN = {
     "coded_hd_matched": {
         "coded.dat":
             "3b7ee7a3f732bcfe4f307466ec88062c2874c4031e19f6f94b0f2a9d41e35508",
-        "coded_interleaved_w2_f0.5.csv":
+        "coded_hd_matched_interleaved_w2_f0.5.csv":
             "9ceecf5a540c984420623587342640d1deda85ba48339485ed7645d02c92e775",
         "coded_record.json":
             "5070518b13fe9f24f7029eaf354bd53725b43214b9cc2e6de9cfed3d1cab6a2b",
@@ -122,7 +122,7 @@ _GOLDEN = {
     "coded_scale": {
         "coded.dat":
             "47802868721819ddb4fa9cdf8ec5353b57c7423746bc6f9c5319efd05f9767e7",
-        "coded_interleaved_w2_f0.csv":
+        "coded_scale_interleaved_w2_f0.csv":
             "25748c30d9563a460d7e6f45d6325fb0a74c1b73f0dd880245ed42377080a522",
         "coded_record.json":
             "5981ef766c46c62c944f527d3d33ac9cad271722cd7d1eb7cf283d255cd863d9",

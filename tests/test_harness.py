@@ -252,7 +252,7 @@ def test_small_coded_sweep(tmp_path):
     ini = _write(tmp_path / "c.ini", _SMALL_CODED)
     out = tmp_path / "out"
     assert main(["coded-contour", "--config", str(ini), "--out", str(out)]) == 0
-    csv = (out / "coded_interleaved_w2_f0.5.csv").read_text()
+    csv = (out / "coded_hd_matched_interleaved_w2_f0.5.csv").read_text()
     lines = [line for line in csv.splitlines() if line and not line.startswith("#")]
     assert lines[0] == "x,y,ber,realized_f"
     x, y, ber, rf = lines[1].split(",")
@@ -277,3 +277,41 @@ def test_readme_schema_block_loads_as_the_defaults(tmp_path):
     cp.read_string(block)
     assert {sec: set(cp[sec]) for sec in cp.sections()} == {
         sec: set(keys) for sec, keys in _SCHEMA.items()}
+
+
+_TWO_VARIANT_CODED = """
+[run]
+kind = coded_contour
+seed = 3
+[link]
+variants = scale, hd_matched
+[sweep]
+snr1_db = 14, 17
+f = 0
+snr2_lo_db = 4
+[code]
+q = 8
+chain_len = 8
+n_codewords = 1
+tol_db = 0.3
+"""
+
+
+def test_coded_sweep_writes_one_csv_per_variant(tmp_path):
+    ini = _write(tmp_path / "c.ini", _TWO_VARIANT_CODED)
+    out = tmp_path / "out"
+    assert main(["coded-contour", "--config", str(ini), "--out", str(out)]) == 0
+    record = json.loads((out / "coded_record.json").read_text())
+    assert [c["variant"] for c in record["contours"]] == ["scale", "hd_matched"]
+    assert sorted(p.name for p in out.glob("*.csv")) == [
+        "coded_hd_matched_interleaved_w2_f0.csv", "coded_scale_interleaved_w2_f0.csv"]
+    for contour in record["contours"]:
+        csv = (out / f"coded_{contour['variant']}_interleaved_w2_f0.csv").read_text()
+        lines = csv.splitlines()
+        assert f"# variant={contour['variant']} strategy=interleaved w=2 f=0" in lines
+        cols = lines[lines.index("x,y,ber,realized_f")].split(",")
+        rows = [dict(zip(cols, line.split(",")))
+                for line in lines[lines.index("x,y,ber,realized_f") + 1:]]
+        want = [{k: "" if p[k] is None else repr(float(p[k])) for k in cols}
+                for p in contour["points"]]
+        assert rows == want
