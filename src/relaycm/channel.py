@@ -162,6 +162,8 @@ class LinkModel:
     def __post_init__(self):
         if self.relay_penalty_db < 0:
             raise ConfigError("relay penalty must be >= 0")
+        if self.spans_hop1 < 0 or self.spans_hop2 < 1:
+            raise ConfigError("hop 1 needs at least 0 spans and hop 2 at least 1")
 
     def hop1_snr_db(self) -> float | None:
         """Hop-1 snr in dB; None when no relay is deployed."""

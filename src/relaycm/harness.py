@@ -412,7 +412,8 @@ def _sweep(kind, task, cfg, out_dir, workers, with_time):
         key = [i for name, (i, _) in zip(names, combo) if name in spec["seed_axes"]]
         contours.append(contour)
         for gi, x in enumerate(grid):
-            # the seed leaves the variant out: common random numbers across variants
+            # the seed leaves the variant out: common random numbers across
+            # variants; "index" names the point to a tracer (perfbench/spans.py)
             tasks.append({"index": len(tasks), "seed": _point_seed(root, *key, gi),
                           "cfg": cfg, "x": x, **contour})
     results = _run_pool(task, tasks, workers)

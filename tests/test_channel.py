@@ -205,6 +205,9 @@ def test_link_budget_hop1_snr_and_hop2_reach():
     # the relay penalty is charged only when a relay feeds hop 2
     assert LinkModel(snr_ref_db=22.0, relay_penalty_db=1.5).max_spans_hop2(12.0) == 10
     assert link.max_spans_hop2(21.0) == 0
+    for spans in ({"spans_hop1": -1}, {"spans_hop2": 0}):
+        with pytest.raises(ConfigError):
+            LinkModel(snr_ref_db=22.0, **spans)
 
 
 def test_scale_relay_equivalent_snr_formula():
