@@ -6,11 +6,12 @@ metric decoder, in bits per symbol:
     G = sum_i ( 1 - E[ log2(1 + exp(-(-1)^{b_i} L_i)) ] )
 
 alongside a 95% confidence halfwidth from the per-symbol loss variance.
-This module also hosts the common-random-number link evaluator used by
-the sweep and bisection drivers, and the scalar LLR rescaling that a
-mismatched (relay-blind) demapper needs to stop its rate estimate from
-collapsing: the multiplier that minimizes the convex loss, found by a
-safeguarded Newton solve (optimal_llr_scale).
+This module also hosts the rule that pairs each relay variant with its
+destination demapper (relay_llrs), the common-random-number link
+evaluator used by the sweep and bisection drivers, and the scalar LLR
+rescaling that a mismatched (relay-blind) demapper needs to stop its
+rate estimate from collapsing: the multiplier that minimizes the convex
+loss, found by a safeguarded Newton solve (optimal_llr_scale).
 """
 
 from __future__ import annotations

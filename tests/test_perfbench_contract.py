@@ -19,18 +19,14 @@ from relaycm import harness
 _SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def _spans_module():
+@pytest.fixture(scope="module")
+def spans():
     spec = importlib.util.spec_from_file_location("_perfbench_spans", _SPANS)
     mod = importlib.util.module_from_spec(spec)
     # dataclasses look their module up by name
     sys.modules[spec.name] = mod
     spec.loader.exec_module(mod)
     return mod
-
-
-@pytest.fixture(scope="module")
-def spans():
-    return _spans_module()
 
 
 def test_every_wrapped_name_is_an_attribute_of_its_owner(spans):
