@@ -11,13 +11,9 @@ from .channel import (
     AwgnSegment,
     DmcMatrix,
     LinkModel,
-    RelayFunction,
-    apply_relay,
     compose_dmc,
-    hd_decide,
     nearest_index,
     scale_relay_equivalent_snr,
-    snr_for_hop,
     transition_matrix,
     transmit,
 )
@@ -30,7 +26,6 @@ from .constellation import (
 )
 from .container import (
     Container,
-    destination_decode,
     plan_container,
     relay_add,
     select_llrs,
@@ -67,12 +62,10 @@ __all__ = [
     "GmiEstimate",
     "LinkModel",
     "NumericalDegeneracyError",
-    "RelayFunction",
     "RelayGmiEvaluator",
     "RelaycmError",
     "SpatiallyCoupledCode",
     "UnsupportedMethodError",
-    "apply_relay",
     "bit_level_sets",
     "bits_for_indices",
     "build_code",
@@ -80,10 +73,8 @@ __all__ = [
     "compose_dmc",
     "decode",
     "design_rate",
-    "destination_decode",
     "gmi_from_llrs",
     "gmi_with_optimal_scale",
-    "hd_decide",
     "indices_for_bits",
     "nearest_index",
     "optimal_llr_scale",
@@ -94,7 +85,6 @@ __all__ = [
     "scale_relay_equivalent_snr",
     "select_llrs",
     "single_hop_gmi",
-    "snr_for_hop",
     "transition_matrix",
     "transmit",
 ]

@@ -1,4 +1,4 @@
-"""Memoryless channel segments, relay regeneration, and discrete equivalents.
+"""Memoryless channel segments, link budgets, and discrete equivalents.
 
 SNR is defined per complex symbol: an AWGN segment at linear snr adds
 circular noise of total variance 1/snr (1/(2 snr) per real dimension).
@@ -24,8 +24,6 @@ SNR_CAP_DB = 300.0
 COLUMN_SUM_TOL = 1e-9
 _MC_CHUNK = 200_000           # fixed chunk size keeps draws reproducible
 
-HARD_DECISION = "hard_decision"
-SCALE = "scale"
 ANALYTIC = "analytic"
 MONTE_CARLO = "mc"
 
@@ -63,28 +61,6 @@ class AwgnSegment:
     def noise_var(self) -> float:
         """Total complex noise variance; exactly 0 above the noiseless cap."""
         return 0.0 if self.snr >= NOISELESS_SNR else 1.0 / self.snr
-
-
-@dataclass(frozen=True)
-class RelayFunction:
-    """Per-symbol regeneration rule applied at the relay."""
-
-    kind: str
-    eta: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in (HARD_DECISION, SCALE):
-            raise ConfigError(f"unknown relay kind {self.kind!r}")
-        if self.kind == SCALE and not self.eta > 0:
-            raise ConfigError("scale factor must be positive")
-
-    @classmethod
-    def hard_decision(cls) -> "RelayFunction":
-        return cls(kind=HARD_DECISION)
-
-    @classmethod
-    def scale(cls, eta: float) -> "RelayFunction":
-        return cls(kind=SCALE, eta=eta)
 
 
 @dataclass(eq=False)
@@ -157,13 +133,12 @@ class LinkModel:
     span_length_km: float = 80.0
     relay_penalty_db: float = 0.0
     spans_hop1: int = 0
-    spans_hop2: int = 1
 
     def __post_init__(self):
         if self.relay_penalty_db < 0:
             raise ConfigError("relay penalty must be >= 0")
-        if self.spans_hop1 < 0 or self.spans_hop2 < 1:
-            raise ConfigError("hop 1 needs at least 0 spans and hop 2 at least 1")
+        if self.spans_hop1 < 0:
+            raise ConfigError("hop 1 needs at least 0 spans")
 
     def hop1_snr_db(self) -> float | None:
         """Hop-1 snr in dB; None when no relay is deployed."""
@@ -171,26 +146,11 @@ class LinkModel:
             return None
         return self.snr_ref_db - 10.0 * math.log10(self.spans_hop1)
 
-    def hop_snrs(self) -> tuple:
-        """Linear snr of both hops; hop 1 is None when no relay is deployed."""
-        s1 = None if self.spans_hop1 == 0 else snr_for_hop(self, self.spans_hop1)
-        s2_db = self.snr_ref_db - 10.0 * math.log10(self.spans_hop2)
-        if self.spans_hop1 > 0:
-            s2_db -= self.relay_penalty_db
-        return s1, 10.0 ** (s2_db / 10.0)
-
     def max_spans_hop2(self, snr2_db: float) -> int:
         """Most hop-2 spans that still deliver snr2_db, after the relay
         penalty when a relay feeds hop 2; below 1 when none do."""
         avail_db = self.snr_ref_db - (self.relay_penalty_db if self.spans_hop1 > 0 else 0.0)
         return math.floor(10.0 ** ((avail_db - snr2_db) / 10.0) + 1e-9)
-
-
-def snr_for_hop(link: LinkModel, spans: int) -> float:
-    """Linear snr after the given number of spans, before any relay penalty."""
-    if spans < 1:
-        raise ConfigError("a hop needs at least one span")
-    return 10.0 ** ((link.snr_ref_db - 10.0 * math.log10(spans)) / 10.0)
 
 
 def power_normalizing_eta(snr1: float) -> float:
@@ -233,18 +193,6 @@ def nearest_index(y, points: np.ndarray):
     return np.argmin(np.abs(y[..., None] - points[None, :]), axis=-1)
 
 
-def hd_decide(y, c: Constellation):
-    """Hard decision to the nearest constellation index (scalar or vector)."""
-    return nearest_index(y, c.symbols)
-
-
-def apply_relay(y: np.ndarray, f: RelayFunction, c: Constellation) -> np.ndarray:
-    if f.kind == SCALE:
-        return f.eta * np.asarray(y)
-    idx = nearest_index(np.asarray(y), c.symbols)
-    return c.symbols[idx]
-
-
 def _rect_grid(c: Constellation):
     """Per-dimension level decomposition, or None if the constellation is
     not a full rectangular grid."""
@@ -274,23 +222,19 @@ def _levels_transition(levels: np.ndarray, sigma_dim: float) -> np.ndarray:
 def transition_matrix(
     c: Constellation,
     snr: float,
-    relay: RelayFunction,
+    *,
     method: str = ANALYTIC,
     mc_samples: int = 100_000,
     seed: int = 0,
 ) -> DmcMatrix:
-    """Transition matrix of one AWGN hop followed by the relay decision.
+    """Transition matrix of one AWGN hop followed by a hard decision.
 
     The analytic path slices the plane into per-dimension intervals and is
     only valid for full rectangular grids (16QAM, not the 32 cross); Monte
     Carlo works for any constellation.  mc_samples counts draws per sent
-    symbol.  Scaling relays do not induce a discrete channel.
+    symbol.  A scaling relay induces no discrete channel; the demapper
+    models it through its equivalent continuous snr.
     """
-    if relay.kind != HARD_DECISION:
-        raise UnsupportedMethodError(
-            "only a hard-decision relay induces a discrete channel; "
-            "model a scaling relay through its equivalent continuous snr"
-        )
     seg = AwgnSegment(snr=snr)
     snr_db = 10.0 * np.log10(snr)
     if method == ANALYTIC:

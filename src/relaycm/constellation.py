@@ -28,8 +28,6 @@ from .errors import ConfigError
 
 QAM16 = "qam16"
 QAM32 = "qam32"
-GRAY = "gray"
-GMI32 = "gmi32"
 
 ENERGY_TOL = 1e-12
 
@@ -193,25 +191,13 @@ def _build_qam32() -> Constellation:
     return Constellation(name="qam32-gmi32", symbols=symbols, labels=labels)
 
 
-def build_constellation(fmt: str = QAM16, mapping: str | None = None) -> Constellation:
-    """Construct one of the supported constellation/labeling pairs.
-
-    Parameters
-    ----------
-    fmt : "qam16" or "qam32"
-    mapping : labeling name; defaults to the only mapping shipped for the
-        format ("gray" for 16QAM, "gmi32" for the 32 cross).
-    """
+def build_constellation(fmt: str = QAM16) -> Constellation:
+    """Construct a supported constellation with the one labeling shipped
+    for it: "qam16" (Gray) or "qam32" (the GMI-optimized 32 cross)."""
     fmt = str(fmt).lower()
     if fmt == QAM16:
-        mapping = GRAY if mapping is None else str(mapping).lower()
-        if mapping != GRAY:
-            raise ConfigError(f"16QAM supports only the {GRAY!r} mapping, got {mapping!r}")
         c = _build_qam16()
     elif fmt == QAM32:
-        mapping = GMI32 if mapping is None else str(mapping).lower()
-        if mapping != GMI32:
-            raise ConfigError(f"32QAM supports only the {GMI32!r} mapping, got {mapping!r}")
         c = _build_qam32()
     else:
         raise ConfigError(f"unknown constellation format {fmt!r}")

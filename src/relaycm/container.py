@@ -225,17 +225,3 @@ def select_llrs(cont: Container, llr_two_hop, llr_single_hop) -> np.ndarray:
     out[rv] = single[rv]
     return out
 
-
-def destination_decode(cont: Container, llrs, window: int | None = None,
-                       iterations: int = 20):
-    """Decode a received word and split the payload back into streams.
-
-    Returns (source_bits, relay_bits, result); convergence and per-position
-    health live on the result object.  Error counting against reference
-    data is the caller's job.
-    """
-    from .scldpc import decode
-
-    res = decode(cont.code, llrs, window=window, iterations=iterations)
-    info = res.info_bits(cont.code)
-    return info[cont.source_slots], info[cont.relay_slots], res

@@ -6,25 +6,26 @@ metric decoder, in bits per symbol:
     G = sum_i ( 1 - E[ log2(1 + exp(-(-1)^{b_i} L_i)) ] )
 
 alongside a 95% confidence halfwidth from the per-symbol loss variance.
-This module also hosts the rule that pairs each relay variant with its
-destination demapper (relay_llrs), the common-random-number link
-evaluator used by the sweep and bisection drivers, and the scalar LLR
-rescaling that a mismatched (relay-blind) demapper needs to stop its
-rate estimate from collapsing: the multiplier that minimizes the convex
-loss, found by a safeguarded Newton solve (optimal_llr_scale).
+This module also hosts the relay step of each variant (relay_forward)
+and the rule that pairs it with its destination demapper (relay_llrs),
+the common-random-number link evaluator used by the sweep and bisection
+drivers, and the scalar LLR rescaling that a mismatched (relay-blind)
+demapper needs to stop its rate estimate from collapsing: the multiplier
+that minimizes the convex loss, found by a safeguarded Newton solve
+(optimal_llr_scale).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .channel import (
     AwgnSegment,
     DmcMatrix,
-    RelayFunction,
     complex_noise_unit,
     derived_rng,
     nearest_index,
@@ -67,22 +68,13 @@ class GmiEstimate:
 class ScaleResult:
     scale: float
     loss: float                  # bits/symbol at the optimum
+    bit_losses: np.ndarray = field(repr=False, compare=False)   # (n, m), bits
     degenerate: bool = False
 
 
-def _bit_losses(llrs: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    z = (1.0 - 2.0 * np.asarray(bits, dtype=np.float64)) * np.asarray(llrs)
-    return np.logaddexp(0.0, -z) / _LN2
-
-
-def gmi_from_llrs(llrs: np.ndarray, bits: np.ndarray) -> GmiEstimate:
-    """Estimate the rate from paired (llrs, sent bits), both (n, m)."""
-    llrs = np.atleast_2d(llrs)
-    bits = np.atleast_2d(bits)
-    if llrs.shape != bits.shape:
-        raise ConfigError("llrs and bits shapes differ")
-    n, m = llrs.shape
-    loss = _bit_losses(llrs, bits)
+def _estimate(loss: np.ndarray) -> GmiEstimate:
+    """Rate estimate from the (n, m) per-bit losses in bits."""
+    n, m = loss.shape
     per_symbol = loss.sum(axis=1)
     value = m - float(per_symbol.mean())
     ci = 1.96 * float(per_symbol.std(ddof=1)) / np.sqrt(n) if n > 1 else np.inf
@@ -92,6 +84,16 @@ def gmi_from_llrs(llrs: np.ndarray, bits: np.ndarray) -> GmiEstimate:
         per_level=1.0 - loss.mean(axis=0),
         n_symbols=n,
     )
+
+
+def gmi_from_llrs(llrs: np.ndarray, bits: np.ndarray) -> GmiEstimate:
+    """Estimate the rate from paired (llrs, sent bits), both (n, m)."""
+    llrs = np.atleast_2d(llrs)
+    bits = np.atleast_2d(bits)
+    if llrs.shape != bits.shape:
+        raise ConfigError("llrs and bits shapes differ")
+    z = (1.0 - 2.0 * bits.astype(np.float64)) * llrs
+    return _estimate(np.logaddexp(0.0, -z) / _LN2)
 
 
 def optimal_llr_scale(llrs: np.ndarray, bits: np.ndarray, tol: float = 1e-6) -> ScaleResult:
@@ -123,27 +125,30 @@ def optimal_llr_scale(llrs: np.ndarray, bits: np.ndarray, tol: float = 1e-6) -> 
     average (L'(0) >= 0) give scale 0 and the loss there.  Metrics never
     wrong (no z < 0) have no finite minimizer; they give the finite
     scale at which every nonzero-metric term of the loss underflows to 0.
+    The result also carries the per-bit losses at the scale it returns.
     """
     llrs = np.atleast_2d(llrs)
     bits = np.atleast_2d(bits)
     m = llrs.shape[1]
     z = ((1.0 - 2.0 * bits.astype(np.float64)) * llrs).ravel()
 
-    def f(zeta):
-        return float(np.logaddexp(0.0, -zeta * z).mean()) * m / _LN2
+    def result(zeta, degenerate=False):
+        loss = np.logaddexp(0.0, -zeta * z)
+        return ScaleResult(scale=zeta, loss=float(loss.mean()) * m / _LN2,
+                           bit_losses=(loss / _LN2).reshape(llrs.shape), degenerate=degenerate)
 
     unit = float(np.abs(z).max())
     if unit == 0.0:
-        return ScaleResult(scale=0.0, loss=f(0.0), degenerate=True)
+        return result(0.0, degenerate=True)
     u = z / unit
     w = np.abs(u)
     wrong = -float(np.minimum(u, 0.0).sum())
     if wrong == 0.0:
         zeta = _SEPARATED / (unit * float(w[w > 0.0].min()))
-        return ScaleResult(scale=zeta, loss=f(zeta), degenerate=False)
+        return result(zeta)
     half = 0.5 * float(w.sum())
     if half <= wrong:
-        return ScaleResult(scale=0.0, loss=f(0.0), degenerate=False)
+        return result(0.0)
 
     lo, hi = 0.0, np.inf
     t = (half - wrong) / (0.25 * float(w @ w))
@@ -167,8 +172,22 @@ def optimal_llr_scale(llrs: np.ndarray, bits: np.ndarray, tol: float = 1e-6) -> 
         t = nxt
         if done:
             break
-    s = t / unit
-    return ScaleResult(scale=s, loss=f(s), degenerate=False)
+    return result(t / unit)
+
+
+def relay_forward(c: Constellation, y1: np.ndarray, snr1: float, variant: str,
+                  splice=None) -> np.ndarray:
+    """Hop-2 waveform that the relay variant sends on from hop-1 output y1.
+
+    A scaling relay restores unit power; the hard-decision variants
+    re-decide every symbol to the nearest point.  splice, when given, maps
+    the decided indices to the indices sent on, such as a codeword with
+    the relay's own traffic spliced in.
+    """
+    if variant == SCALE_RELAY:
+        return power_normalizing_eta(snr1) * y1
+    idx = nearest_index(y1, c.symbols)
+    return c.symbols[idx if splice is None else splice(idx)]
 
 
 def relay_llrs(c: Constellation, y2: np.ndarray, snr1: float, snr2: float, variant: str,
@@ -193,8 +212,7 @@ def relay_llrs(c: Constellation, y2: np.ndarray, snr1: float, snr2: float, varia
 def gmi_with_optimal_scale(llrs: np.ndarray, bits: np.ndarray):
     """Rate after per-batch scalar rescaling; returns (estimate, scaling)."""
     res = optimal_llr_scale(llrs, bits)
-    est = gmi_from_llrs(res.scale * np.atleast_2d(llrs), bits)
-    return est, res
+    return _estimate(res.bit_losses), res
 
 
 class RelayGmiEvaluator:
@@ -203,8 +221,9 @@ class RelayGmiEvaluator:
     Source bits, first-hop noise, and unit-variance second-hop noise are
     drawn once; each query rescales the stored noise.  Rate estimates are
     then continuous and monotone in snr2, which keeps bisection results
-    deterministic.  A separate stream with its own noise supports the
-    single-hop (relay-injected traffic) rate at the same snr2.
+    deterministic.  A separate stream with its own noise, drawn on first
+    use, supports the single-hop (relay-injected traffic) rate at the
+    same snr2.
     """
 
     def __init__(
@@ -225,35 +244,32 @@ class RelayGmiEvaluator:
         self.snr1 = float(snr1)
         self.variant = variant
         self.n_symbols = int(n_symbols)
-        m = c.bits_per_symbol
-
-        bits = derived_rng(seed, 0).integers(0, 2, size=self.n_symbols * m, dtype=np.uint8)
-        self.bits = bits.reshape(self.n_symbols, m)
-        x = c.symbols[indices_for_bits(c, bits)]
+        self._seed = seed
+        self.bits, x = self._draw_symbols(0)
         y1 = transmit(x, AwgnSegment(snr=self.snr1), derived_rng(seed, 1))
         self._unit_noise2 = complex_noise_unit(derived_rng(seed, 2), self.n_symbols)
+        self._relay_out = relay_forward(c, y1, self.snr1, variant)
+        self.dmc = None
+        if variant == HD_MATCHED:
+            self.dmc = transition_matrix(
+                c,
+                self.snr1,
+                method=dmc_method,
+                mc_samples=dmc_samples,
+                seed=int(derived_rng(seed, 3).integers(0, 2 ** 31)),
+            )
 
-        if variant == SCALE_RELAY:
-            self._relay_out = power_normalizing_eta(self.snr1) * y1
-            self.dmc = None
-        else:
-            self._relay_out = c.symbols[nearest_index(y1, c.symbols)]
-            if variant == HD_MATCHED:
-                self.dmc = transition_matrix(
-                    c,
-                    self.snr1,
-                    RelayFunction.hard_decision(),
-                    method=dmc_method,
-                    mc_samples=dmc_samples,
-                    seed=int(derived_rng(seed, 3).integers(0, 2 ** 31)),
-                )
-            else:
-                self.dmc = None
+    def _draw_symbols(self, key: int) -> tuple:
+        """Source bits, shaped (n_symbols, m), and their symbols."""
+        m = self.c.bits_per_symbol
+        bits = derived_rng(self._seed, key).integers(0, 2, size=self.n_symbols * m, dtype=np.uint8)
+        return bits.reshape(self.n_symbols, m), self.c.symbols[indices_for_bits(self.c, bits)]
 
-        bits_s = derived_rng(seed, 4).integers(0, 2, size=self.n_symbols * m, dtype=np.uint8)
-        self._bits_single = bits_s.reshape(self.n_symbols, m)
-        self._x_single = c.symbols[indices_for_bits(c, bits_s)]
-        self._unit_noise_single = complex_noise_unit(derived_rng(seed, 5), self.n_symbols)
+    @cached_property
+    def _single_stream(self) -> tuple:
+        """Bits, symbols and unit noise of the single-hop stream."""
+        return (*self._draw_symbols(4),
+                complex_noise_unit(derived_rng(self._seed, 5), self.n_symbols))
 
     def _receive(self, snr2: float) -> np.ndarray:
         return self._relay_out + np.sqrt(1.0 / snr2) * self._unit_noise2
@@ -267,9 +283,9 @@ class RelayGmiEvaluator:
 
     def single_hop_gmi(self, snr2: float) -> GmiEstimate:
         """Rate of traffic injected at the relay, seeing only hop 2."""
-        y = self._x_single + np.sqrt(1.0 / snr2) * self._unit_noise_single
-        dem = Demapper.conventional(self.c, snr2)
-        return gmi_from_llrs(dem.llrs(y), self._bits_single)
+        bits, x, unit_noise = self._single_stream
+        y = x + np.sqrt(1.0 / snr2) * unit_noise
+        return gmi_from_llrs(Demapper.conventional(self.c, snr2).llrs(y), bits)
 
     def mixture_rate(self, snr2: float, relay_fraction: float, rate: float) -> tuple:
         """Rate (value, ci95) of a codeword whose info positions are

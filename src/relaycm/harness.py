@@ -30,11 +30,9 @@ from .channel import (
     NOISELESS_SNR,
     AwgnSegment,
     LinkModel,
-    RelayFunction,
     complex_noise_unit,
     derived_rng,
-    nearest_index,
-    power_normalizing_eta,
+    nearest_index,  # unused here; perfbench/spans.py wraps harness.nearest_index
     transition_matrix,
     transmit,
 )
@@ -47,6 +45,7 @@ from .gmi import (
     SCALE_RELAY,
     VARIANTS,
     RelayGmiEvaluator,
+    relay_forward,
     relay_llrs,
     required_snr2_db,
     single_hop_gmi,
@@ -295,12 +294,11 @@ def _coded_ber(t, code, c, dmc, snr1, snr2):
         cont.write_source(us)
         sym = c.symbols[indices_for_bits(c, cont.encode())]
         y1 = transmit(sym, AwgnSegment(snr1), derived_rng(seed, j, 1))
-        if variant == SCALE_RELAY:
-            relay_out = power_normalizing_eta(snr1) * y1
-        else:
-            xh = bits_for_indices(c, nearest_index(y1, c.symbols))
-            x2 = relay_add(cont, xh, ur) if len(cont.relay_slots) else xh
-            relay_out = c.symbols[indices_for_bits(c, x2)]
+        splice = None
+        if len(cont.relay_slots):
+            def splice(idx):
+                return indices_for_bits(c, relay_add(cont, bits_for_indices(c, idx), ur))
+        relay_out = relay_forward(c, y1, snr1, variant, splice)
         unit2 = complex_noise_unit(derived_rng(seed, j, 2), sym.size)
         y2 = relay_out + math.sqrt(1.0 / snr2) * unit2
         lam = relay_llrs(c, y2, snr1, snr2, variant, dmc).ravel()
@@ -319,8 +317,7 @@ def _coded_task(t):
     code = _cached_code(cc["q"], cc["chain_len"], t["coupling"], cc["seed"])
     snr1 = 10.0 ** (t["x"] / 10.0)
     dmc = None if t["variant"] == SCALE_RELAY else transition_matrix(
-        c, snr1, RelayFunction.hard_decision(), method=sweep["dmc_method"],
-        mc_samples=sweep["dmc_samples"], seed=t["seed"])
+        c, snr1, method=sweep["dmc_method"], mc_samples=sweep["dmc_samples"], seed=t["seed"])
     cont = plan_container(code, t["f"], t["strategy"])
 
     def ber(db):
@@ -478,13 +475,13 @@ def run_selftest(out_dir):
 
     rng = np.random.default_rng(11)
     y = (rng.standard_normal(200) + 1j * rng.standard_normal(200)) * 0.6
-    ident = transition_matrix(c16, NOISELESS_SNR, RelayFunction.hard_decision())
+    ident = transition_matrix(c16, NOISELESS_SNR)
     d_eq = Demapper.equivalent(c16, 10 ** 1.2, ident)
     d_cv = Demapper.conventional(c16, 10 ** 1.2)
     gap = float(np.max(np.abs(d_eq.llrs(y) - d_cv.llrs(y))))
     check("identity-relay", gap < 1e-9, f"max_gap={gap:.3e}")
 
-    dmc = transition_matrix(c16, 10 ** 0.8, RelayFunction.hard_decision())
+    dmc = transition_matrix(c16, 10 ** 0.8)
     col = float(np.max(np.abs(dmc.probs.sum(axis=0) - 1.0)))
     check("transition-columns", col < 1e-9,
           hashlib.sha256(dmc.probs.tobytes()).hexdigest()[:8])

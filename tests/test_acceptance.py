@@ -18,7 +18,6 @@ from relaycm.channel import (
     NOISELESS_SNR,
     AwgnSegment,
     DmcMatrix,
-    RelayFunction,
     derived_rng,
     transition_matrix,
     transmit,
@@ -69,9 +68,8 @@ def test_criterion_02_transition_matrix_routes_agree(capsys):
     worst_col = 0.0
     for snr_db in (8.0, 12.0, 16.0):
         snr = 10 ** (snr_db / 10)
-        wa = transition_matrix(c, snr, RelayFunction.hard_decision(), method="analytic")
-        wm = transition_matrix(c, snr, RelayFunction.hard_decision(), method="mc",
-                               mc_samples=n, seed=8)
+        wa = transition_matrix(c, snr, method="analytic")
+        wm = transition_matrix(c, snr, method="mc", mc_samples=n, seed=8)
         se = np.sqrt(wa.probs * (1.0 - wa.probs) / n)
         diff = np.abs(wm.probs - wa.probs)
         with np.errstate(divide="ignore", invalid="ignore"):

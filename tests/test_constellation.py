@@ -122,5 +122,3 @@ def test_packaged_tables_match_builders():
 def test_unknown_format_rejected():
     with pytest.raises(ConfigError):
         build_constellation("qam64")
-    with pytest.raises(ConfigError):
-        build_constellation("qam16", mapping="setpart")

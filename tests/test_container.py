@@ -13,7 +13,6 @@ from relaycm.container import (
     SPREAD_POSITIONS,
     STRATEGIES,
     Container,
-    destination_decode,
     plan_container,
     relay_add,
     select_llrs,
@@ -229,17 +228,3 @@ def test_container_frame_round_trip():
     with pytest.raises(ConfigError):
         Container.from_bytes(_code(q=8), blob)
 
-
-def test_destination_decode_splits_streams():
-    code = _code()
-    cont = plan_container(code, 0.5, "interleaved")
-    rng = np.random.default_rng(5)
-    us = rng.integers(0, 2, len(cont.source_slots), dtype=np.uint8)
-    ur = rng.integers(0, 2, len(cont.relay_slots), dtype=np.uint8)
-    cont.write_source(us)
-    x = relay_add(cont, cont.encode(), ur)
-    llrs = 18.0 * (1.0 - 2.0 * x.astype(np.float64))
-    got_src, got_rel, res = destination_decode(cont, llrs)
-    np.testing.assert_array_equal(got_src, us)
-    np.testing.assert_array_equal(got_rel, ur)
-    assert res.converged.all()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from relaycm.channel import DmcMatrix, RelayFunction, transition_matrix
+from relaycm.channel import DmcMatrix, transition_matrix
 from relaycm.constellation import Constellation, bit_level_sets, build_constellation
 from relaycm.demapper import (
     Demapper,
@@ -215,7 +215,7 @@ def test_llr_bin_round_trip_and_errors():
 def test_demap_from_transition_of_real_hop():
     # end to end: hop1 DMC at 9 dB, hop2 awgn, all llrs finite with sane signs
     c = build_constellation("qam16")
-    w = transition_matrix(c, 10 ** 0.9, RelayFunction.hard_decision())
+    w = transition_matrix(c, 10 ** 0.9)
     dm = Demapper.equivalent(c, 10 ** 1.4, w)
     out = dm.llrs(c.symbols)
     assert out.shape == (16, 4)

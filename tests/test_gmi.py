@@ -1,21 +1,22 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
 from relaycm.channel import (
     NOISELESS_SNR,
     AwgnSegment,
-    RelayFunction,
     power_normalizing_eta,
     scale_relay_equivalent_snr,
     transition_matrix,
     transmit,
 )
-from relaycm.constellation import build_constellation, indices_for_bits
+from relaycm.constellation import bits_for_indices, build_constellation, indices_for_bits
+from relaycm.container import SPREAD_POSITIONS, STRATEGIES, plan_container, relay_add
 from relaycm.demapper import Demapper
 from relaycm.errors import ConfigError
 from relaycm.gmi import (
@@ -23,10 +24,12 @@ from relaycm.gmi import (
     gmi_from_llrs,
     gmi_with_optimal_scale,
     optimal_llr_scale,
+    relay_forward,
     relay_llrs,
     required_snr2_db,
     single_hop_gmi,
 )
+from relaycm.scldpc import build_code
 
 
 def test_single_symbol_loss_by_hand():
@@ -184,7 +187,7 @@ def test_relay_llrs_pick_the_variant_demapper():
     snr1, snr2 = 10 ** 1.5, 10 ** 1.2
     rng = np.random.default_rng(8)
     y2 = (rng.standard_normal(300) + 1j * rng.standard_normal(300)) * 0.7
-    dmc = transition_matrix(c, snr1, RelayFunction.hard_decision())
+    dmc = transition_matrix(c, snr1)
     eta = power_normalizing_eta(snr1)
     scale = Demapper.conventional(c, scale_relay_equivalent_snr(snr1, snr2)).llrs(y2 / eta)
     assert np.array_equal(relay_llrs(c, y2, snr1, snr2, "scale"), scale)
@@ -192,6 +195,41 @@ def test_relay_llrs_pick_the_variant_demapper():
                           Demapper.equivalent(c, snr2, dmc).llrs(y2))
     assert np.array_equal(relay_llrs(c, y2, snr1, snr2, "hd_legacy_sopt"),
                           Demapper.conventional(c, snr2).llrs(y2))
+
+
+@lru_cache(maxsize=1)
+def _code():
+    return build_code(8, 8, 2, seed=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), fraction=st.floats(0.0, 1.0),
+       strategy=st.sampled_from(STRATEGIES))
+def test_relay_forward_splices_into_a_joint_codeword(seed, fraction, strategy):
+    c, code = build_constellation("qam16"), _code()
+    try:
+        cont = plan_container(code, fraction, strategy)
+    except ConfigError:
+        # only whole-position placement can leave the source no room
+        assert strategy == SPREAD_POSITIONS
+        reject()
+    rng = np.random.default_rng(seed)
+    us = rng.integers(0, 2, len(cont.source_slots), dtype=np.uint8)
+    ur = rng.integers(0, 2, len(cont.relay_slots), dtype=np.uint8)
+    cont.write_source(us)
+    sym = c.symbols[indices_for_bits(c, cont.encode())]
+
+    def splice(idx):
+        return indices_for_bits(c, relay_add(cont, bits_for_indices(c, idx), ur))
+
+    # a noiseless hop 1: the decided, spliced word is the joint encoding
+    y1 = transmit(sym, AwgnSegment(NOISELESS_SNR), rng)
+    out = relay_forward(c, y1, NOISELESS_SNR, "hd_matched", splice)
+    assert np.array_equal(out, c.symbols[indices_for_bits(c, code.encode(cont.payload))])
+    # a scaling relay only restores unit power
+    snr1 = 10.0 ** rng.uniform(0.5, 2.5)
+    y1 = transmit(sym, AwgnSegment(snr1), rng)
+    assert np.array_equal(relay_forward(c, y1, snr1, "scale"), power_normalizing_eta(snr1) * y1)
 
 
 def test_evaluator_rejects_bad_setup():

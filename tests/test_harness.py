@@ -279,6 +279,18 @@ def test_readme_schema_block_loads_as_the_defaults(tmp_path):
         sec: set(keys) for sec, keys in _SCHEMA.items()}
 
 
+def test_readme_python_blocks_run():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    # later blocks use names the earlier ones bound
+    ns = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), ns)
+    assert 0.0 < ns["req"] < 30.0
+    assert not ns["code"].syndrome(ns["word"]).any()
+
+
 _TWO_VARIANT_CODED = """
 [run]
 kind = coded_contour
