@@ -198,6 +198,10 @@ def _validate(cfg):
         raise ConfigError("span counts cannot be negative")
     if code["n_codewords"] < 1:
         raise ConfigError("need at least one codeword per evaluation")
+    if code["iterations"] < 1:
+        raise ConfigError("the decoder needs at least one iteration")
+    if not code["saturation"] > 0:
+        raise ConfigError("decoder saturation must be positive")
     if not 0.0 < code["ber_target"] < 0.5:
         raise ConfigError("error-rate target must lie in (0, 0.5)")
 
@@ -224,25 +228,30 @@ def _run_pool(fn, tasks, workers):
 
 
 def _required_snr2(cfg, snr1, variant, f, seed):
-    """Rate evaluator of one grid point, and the smallest snr2 (dB) at
-    which its mixed rate carries the code rate (inf when none does)."""
+    """Smallest snr2 (dB) of one grid point at which its mixed rate
+    carries the code rate (inf when none does), and the probes of its
+    search as {snr2 dB: (rate, ci95)}; the answer is always one of them."""
     sweep = cfg["sweep"]
     c = build_constellation(cfg["link"]["constellation"])
     ev = RelayGmiEvaluator(c, snr1, variant, sweep["n_symbols"], seed,
                            dmc_method=sweep["dmc_method"], dmc_samples=sweep["dmc_samples"])
+    probes = {}
 
     def margin(db):
-        return ev.mixture_margin(10.0 ** (db / 10.0), f, sweep["rate"])
+        probes[db] = ev.mixture_rate(10.0 ** (db / 10.0), f, sweep["rate"])
+        # RelayGmiEvaluator.mixture_margin, from the rate kept above
+        return probes[db][0] - c.bits_per_symbol * sweep["rate"]
 
-    return ev, required_snr2_db(margin, sweep["snr2_lo_db"], sweep["snr2_hi_db"],
-                                sweep["tol_db"])
+    req = required_snr2_db(margin, sweep["snr2_lo_db"], sweep["snr2_hi_db"], sweep["tol_db"])
+    return req, probes
 
 
 def _region_task(t):
-    ev, req = _required_snr2(t["cfg"], 10.0 ** (t["x"] / 10.0), t["variant"], t["f"], t["seed"])
+    req, probes = _required_snr2(t["cfg"], 10.0 ** (t["x"] / 10.0), t["variant"], t["f"],
+                                 t["seed"])
     row = {"x": t["x"]}
     if not math.isinf(req):
-        val, ci = ev.mixture_rate(10.0 ** (req / 10.0), t["f"], t["cfg"]["sweep"]["rate"])
+        val, ci = probes[req]
         row.update(y=req, gmi_at_solution=val, ci=ci)
     return row
 
@@ -260,13 +269,13 @@ def _distance_task(t):
         snr1, variant, f = NOISELESS_SNR, HD_MATCHED, 0.0
     else:
         snr1, variant = 10.0 ** (snr1_db / 10.0), t["variant"]
-    ev, req = _required_snr2(cfg, snr1, variant, f, t["seed"])
+    req, probes = _required_snr2(cfg, snr1, variant, f, t["seed"])
     if math.isinf(req):
         return row
     row["req_db"] = req
     n2 = budget.max_spans_hop2(req)
     if n2 >= 1:
-        val, ci = ev.mixture_rate(10.0 ** (req / 10.0), f, cfg["sweep"]["rate"])
+        val, ci = probes[req]
         row.update(y=float(n2), gmi_at_solution=val, ci=ci,
                    total_km=(row["x"] + float(n2)) * budget.span_length_km)
     return row
@@ -277,16 +286,17 @@ def _cached_code(q, chain_len, coupling, seed):
     return build_code(q, chain_len, coupling, seed=seed)
 
 
-def _coded_ber(t, code, c, dmc, snr1, snr2):
-    """Info-bit error rate over a batch of container codewords.
+def _coded_words(t, code, c, snr1):
+    """What every bisection probe of a coded point shares, per codeword:
+    its container (payload and slots), the relay's hop-2 waveform, and
+    unit-variance hop-2 noise that each probe rescales by its snr2.
 
-    Randomness is pinned per codeword index, and second-hop noise is a
-    fixed unit draw rescaled by snr2, so repeated queries during a
-    bisection reuse identical bits and noise.
+    Randomness is pinned per codeword index, so repeated probes see
+    identical bits and noise.
     """
-    cc, seed, variant = t["cfg"]["code"], t["seed"], t["variant"]
-    errors = 0
-    for j in range(cc["n_codewords"]):
+    seed, variant = t["seed"], t["variant"]
+    words = []
+    for j in range(t["cfg"]["code"]["n_codewords"]):
         cont = plan_container(code, t["f"], t["strategy"])
         rng_bits = derived_rng(seed, j, 0)
         us = rng_bits.integers(0, 2, size=len(cont.source_slots), dtype=np.uint8)
@@ -299,16 +309,33 @@ def _coded_ber(t, code, c, dmc, snr1, snr2):
             def splice(idx):
                 return indices_for_bits(c, relay_add(cont, bits_for_indices(c, idx), ur))
         relay_out = relay_forward(c, y1, snr1, variant, splice)
-        unit2 = complex_noise_unit(derived_rng(seed, j, 2), sym.size)
+        words.append((cont, relay_out, complex_noise_unit(derived_rng(seed, j, 2), sym.size)))
+    return words
+
+
+def _coded_ber(t, code, c, dmc, snr1, words, snr2):
+    """Info-bit error rate of the words of _coded_words at snr2.
+
+    Decoding stops once the errors counted so far put the rate above
+    ber_target: the margin cannot recover from there, and the bisection
+    reads only its sign.  A failing probe thus returns a lower bound; a
+    passing one always decodes every word.
+    """
+    cc = t["cfg"]["code"]
+    total = cc["n_codewords"] * code.k
+    errors = 0
+    for cont, relay_out, unit2 in words:
         y2 = relay_out + math.sqrt(1.0 / snr2) * unit2
-        lam = relay_llrs(c, y2, snr1, snr2, variant, dmc).ravel()
+        lam = relay_llrs(c, y2, snr1, snr2, t["variant"], dmc).ravel()
         if len(cont.relay_slots):
             # relay-injected positions only crossed hop 2
             lam = select_llrs(cont, lam, Demapper.conventional(c, snr2).llrs(y2).ravel())
         res = decode(code, lam, window=cc["window"], iterations=cc["iterations"],
                      saturation=cc["saturation"])
         errors += int(np.count_nonzero(res.info_bits(code) != cont.payload))
-    return errors / (cc["n_codewords"] * code.k)
+        if cc["ber_target"] - errors / total < 0:
+            break
+    return errors / total
 
 
 def _coded_task(t):
@@ -318,16 +345,17 @@ def _coded_task(t):
     snr1 = 10.0 ** (t["x"] / 10.0)
     dmc = None if t["variant"] == SCALE_RELAY else transition_matrix(
         c, snr1, method=sweep["dmc_method"], mc_samples=sweep["dmc_samples"], seed=t["seed"])
-    cont = plan_container(code, t["f"], t["strategy"])
+    words = _coded_words(t, code, c, snr1)
+    bers = {}
 
-    def ber(db):
-        return _coded_ber(t, code, c, dmc, snr1, 10.0 ** (db / 10.0))
+    def margin(db):
+        bers[db] = _coded_ber(t, code, c, dmc, snr1, words, 10.0 ** (db / 10.0))
+        return cc["ber_target"] - bers[db]
 
-    req = required_snr2_db(lambda db: cc["ber_target"] - ber(db),
-                           sweep["snr2_lo_db"], sweep["snr2_hi_db"], cc["tol_db"])
-    row = {"x": t["x"], "realized_f": cont.realized_fraction}
+    req = required_snr2_db(margin, sweep["snr2_lo_db"], sweep["snr2_hi_db"], cc["tol_db"])
+    row = {"x": t["x"], "realized_f": words[0][0].realized_fraction}
     if not math.isinf(req):
-        row.update(y=req, ber=ber(req))
+        row.update(y=req, ber=bers[req])
     return row
 
 

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from relaycm.channel import (
     NOISELESS_SNR,
+    _ndtr,
+    _rect_grid,
     AwgnSegment,
     DmcMatrix,
     LinkModel,
@@ -214,3 +218,47 @@ def test_dmc_validate_rejects_bad_columns():
                     method="analytic")
     with pytest.raises(ConfigError):
         bad.validate()
+
+
+def _same_doubles(got, want):
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    return got.tobytes() == want.tobytes()
+
+
+def test_ndtr_port_matches_scipy_bit_for_bit():
+    grid = np.linspace(-60.0, 60.0, 240_001)
+    mags = np.geomspace(1e-300, 100.0, 60_001)
+    special = np.array([0.0, -0.0, np.inf, -np.inf])
+    for xs in (grid, mags, -mags, special):
+        got = [_ndtr(v) for v in xs.tolist()]
+        assert _same_doubles(got, ndtr(xs))
+    assert math.isnan(_ndtr(math.nan)) and math.isnan(ndtr(math.nan))
+    # the zero keeps its sign through erf, which the half-sum then drops
+    assert math.copysign(1.0, _ndtr(-0.0)) == 1.0
+
+
+@settings(max_examples=2000, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+def test_ndtr_port_matches_scipy_on_any_float(x):
+    assert _same_doubles(_ndtr(x), ndtr(x))
+
+
+def _scipy_levels_transition(levels, sigma_dim):
+    mids = (levels[:-1] + levels[1:]) / 2.0
+    hi = np.append(mids, np.inf)
+    lo = np.insert(mids, 0, -np.inf)
+    return (ndtr((hi[:, None] - levels[None, :]) / sigma_dim)
+            - ndtr((lo[:, None] - levels[None, :]) / sigma_dim))
+
+
+@pytest.mark.parametrize("snr_db", [-5.0, 0.0, 6.0, 12.5, 17.0, 25.0, 40.0])
+def test_analytic_transition_equals_scipy_built_matrix(snr_db):
+    c = build_constellation("qam16")
+    snr = 10.0 ** (snr_db / 10.0)
+    re, im, col, row = _rect_grid(c)
+    sigma_dim = np.sqrt(AwgnSegment(snr=snr).noise_var / 2.0)
+    want = (_scipy_levels_transition(re, sigma_dim)[np.ix_(col, col)]
+            * _scipy_levels_transition(im, sigma_dim)[np.ix_(row, row)])
+    got = transition_matrix(c, snr, method="analytic").probs
+    assert got.tobytes() == want.tobytes()

@@ -1,12 +1,21 @@
 import configparser
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relaycm import harness
+from relaycm.channel import AwgnSegment, complex_noise_unit, derived_rng, transition_matrix, transmit
+from relaycm.constellation import bits_for_indices, build_constellation, indices_for_bits
+from relaycm.container import STRATEGIES, plan_container, relay_add, select_llrs
+from relaycm.demapper import Demapper
 from relaycm.errors import ConfigError
+from relaycm.gmi import RelayGmiEvaluator, relay_forward, relay_llrs, required_snr2_db
 from relaycm.harness import (
     _SCHEMA,
     _point_seed,
@@ -15,6 +24,7 @@ from relaycm.harness import (
     load_config,
     main,
 )
+from relaycm.scldpc import decode
 
 
 def _write(path, text):
@@ -71,6 +81,9 @@ def test_semantic_validation(tmp_path):
         "[code]\nstrategies = diagonal\n",
         "[code]\nn_codewords = 0\n",
         "[code]\nber_target = 0.7\n",
+        "[code]\niterations = 0\n",
+        "[code]\nsaturation = 0\n",
+        "[code]\nsaturation = -1\n",
     ]
     for i, text in enumerate(bad):
         with pytest.raises(ConfigError):
@@ -134,6 +147,15 @@ def test_main_error_paths(tmp_path):
                    "[run]\nkind = coded_contour\n[link]\nvariants = hd_legacy_sopt\n")
     assert main(["coded-contour", "--config", str(coded),
                  "--out", str(tmp_path / "o2")]) == 2
+
+
+@pytest.mark.parametrize("setting", ["iterations = 0", "saturation = 0", "saturation = -1"])
+def test_bad_decoder_settings_exit_2(tmp_path, setting):
+    # before, these ran a whole bisection that no word could pass
+    ini = _write(tmp_path / "c.ini", _SMALL_CODED + setting + "\n")
+    out = tmp_path / "out"
+    assert main(["coded-contour", "--config", str(ini), "--out", str(out)]) == 2
+    assert not list(out.iterdir())
 
 
 _SMALL_REGION = """
@@ -327,3 +349,144 @@ def test_coded_sweep_writes_one_csv_per_variant(tmp_path):
         want = [{k: "" if p[k] is None else repr(float(p[k])) for k in cols}
                 for p in contour["points"]]
         assert rows == want
+
+
+# The coded point as it was before its snr2-free work moved out of the
+# probe loop and failing probes stopped early: every probe re-plans,
+# re-encodes and decodes every word, and the row evaluates the answer
+# once more.
+def _reference_coded_ber(t, code, c, dmc, snr1, snr2):
+    cc, seed, variant = t["cfg"]["code"], t["seed"], t["variant"]
+    errors = 0
+    for j in range(cc["n_codewords"]):
+        cont = plan_container(code, t["f"], t["strategy"])
+        rng_bits = derived_rng(seed, j, 0)
+        us = rng_bits.integers(0, 2, size=len(cont.source_slots), dtype=np.uint8)
+        ur = rng_bits.integers(0, 2, size=len(cont.relay_slots), dtype=np.uint8)
+        cont.write_source(us)
+        sym = c.symbols[indices_for_bits(c, cont.encode())]
+        y1 = transmit(sym, AwgnSegment(snr1), derived_rng(seed, j, 1))
+        splice = None
+        if len(cont.relay_slots):
+            def splice(idx):
+                return indices_for_bits(c, relay_add(cont, bits_for_indices(c, idx), ur))
+        relay_out = relay_forward(c, y1, snr1, variant, splice)
+        unit2 = complex_noise_unit(derived_rng(seed, j, 2), sym.size)
+        y2 = relay_out + math.sqrt(1.0 / snr2) * unit2
+        lam = relay_llrs(c, y2, snr1, snr2, variant, dmc).ravel()
+        if len(cont.relay_slots):
+            lam = select_llrs(cont, lam, Demapper.conventional(c, snr2).llrs(y2).ravel())
+        res = decode(code, lam, window=cc["window"], iterations=cc["iterations"],
+                     saturation=cc["saturation"])
+        errors += int(np.count_nonzero(res.info_bits(code) != cont.payload))
+    return errors / (cc["n_codewords"] * code.k)
+
+
+def _reference_coded_point(t):
+    sweep, cc = t["cfg"]["sweep"], t["cfg"]["code"]
+    c = build_constellation(t["cfg"]["link"]["constellation"])
+    code = harness._cached_code(cc["q"], cc["chain_len"], t["coupling"], cc["seed"])
+    snr1 = 10.0 ** (t["x"] / 10.0)
+    dmc = None if t["variant"] == "scale" else transition_matrix(
+        c, snr1, method=sweep["dmc_method"], mc_samples=sweep["dmc_samples"], seed=t["seed"])
+    cont = plan_container(code, t["f"], t["strategy"])
+
+    def ber(db):
+        return _reference_coded_ber(t, code, c, dmc, snr1, 10.0 ** (db / 10.0))
+
+    req = required_snr2_db(lambda db: cc["ber_target"] - ber(db),
+                           sweep["snr2_lo_db"], sweep["snr2_hi_db"], cc["tol_db"])
+    row = {"x": t["x"], "realized_f": cont.realized_fraction}
+    if not math.isinf(req):
+        row.update(y=req, ber=ber(req))
+    return row, ber
+
+
+def _log_probes(m):
+    """Patch harness's bisection on the MonkeyPatch m so that it logs
+    every (snr2 dB, margin) probe; returns the log."""
+    log = []
+
+    def logged(margin_fn, *args):
+        def probe(db):
+            log.append((db, margin_fn(db)))
+            return log[-1][1]
+        return required_snr2_db(probe, *args)
+
+    m.setattr(harness, "required_snr2_db", logged)
+    return log
+
+
+def _task(tmp_path, text, **point):
+    cfg = load_config(_write(tmp_path / "p.ini", text))
+    return {"index": 0, "cfg": cfg, **point}
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), f=st.sampled_from([0.0, 0.2, 0.5]),
+       strategy=st.sampled_from(STRATEGIES), scale=st.booleans(),
+       x=st.sampled_from([12.0, 16.0]),
+       ber_target=st.sampled_from([1e-4, 1e-3, 2e-2, 0.1]), n_codewords=st.integers(1, 3))
+def test_coded_point_probes_once_and_keeps_its_row(tmp_path_factory, seed, f, strategy, scale,
+                                                    x, ber_target, n_codewords):
+    variant = "scale" if scale and f == 0.0 else "hd_matched"
+    t = _task(tmp_path_factory.mktemp("coded"), f"""
+[sweep]
+snr2_lo_db = 4
+[code]
+q = 8
+chain_len = 6
+n_codewords = {n_codewords}
+ber_target = {ber_target!r}
+tol_db = 0.5
+""", seed=seed, x=x, variant=variant, coupling=2, strategy=strategy, f=f)
+    want, full_ber = _reference_coded_point(t)
+    decodes = []
+
+    def counted_decode(*args, **kwargs):
+        decodes.append(1)
+        return decode(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(harness, "decode", counted_decode)
+        probes = _log_probes(m)
+        row = harness._coded_task(t)
+    assert row == want
+    dbs = [db for db, _ in probes]
+    assert len(set(dbs)) == len(dbs)
+    assert len(decodes) <= n_codewords * len(dbs)
+    for db, margin in probes:
+        full = ber_target - full_ber(db)
+        if margin >= 0.0:
+            assert margin == full
+        else:
+            assert full <= margin < 0.0
+
+
+def test_rate_points_evaluate_each_snr2_once(tmp_path, monkeypatch):
+    probe_log = _log_probes(monkeypatch)
+    evaluated = []
+    mixture_rate = RelayGmiEvaluator.mixture_rate
+
+    def counted(self, snr2, *args):
+        evaluated.append(snr2)
+        return mixture_rate(self, snr2, *args)
+
+    monkeypatch.setattr(RelayGmiEvaluator, "mixture_rate", counted)
+    region = _task(tmp_path, _SMALL_REGION, seed=11, x=17.0, variant="hd_legacy_sopt", f=0.5)
+    row = harness._region_task(region)
+    assert len(set(evaluated)) == len(evaluated) == len(probe_log)
+
+    # the row holds what the answer's own probe measured
+    cfg = region["cfg"]["sweep"]
+    ev = RelayGmiEvaluator(build_constellation("qam16"), 10 ** 1.7, "hd_legacy_sopt",
+                           cfg["n_symbols"], 11)
+    val, ci = mixture_rate(ev, 10.0 ** (row["y"] / 10.0), 0.5, cfg["rate"])
+    assert (row["gmi_at_solution"], row["ci"]) == (val, ci)
+
+    evaluated.clear()
+    probe_log.clear()
+    distance = _task(tmp_path, _SMALL_DISTANCE, seed=4, x=1, variant="hd_matched", f=0.5)
+    row = harness._distance_task(distance)
+    assert row["y"] >= 1
+    assert len(set(evaluated)) == len(evaluated) == len(probe_log)

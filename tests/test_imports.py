@@ -16,3 +16,28 @@ def test_harness_import_leaves_slow_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == ""
+
+
+_SWEEP_PROBE = """
+import sys
+from relaycm.channel import transition_matrix
+from relaycm.constellation import build_constellation
+from relaycm.harness import main
+
+transition_matrix(build_constellation("qam16"), 10.0, method="analytic")
+with open(sys.argv[2], "w") as fh:
+    fh.write("[run]\\nkind = snr_region\\n[link]\\nvariants = hd_matched, scale\\n"
+             "[sweep]\\nsnr1_db = 17\\nn_symbols = 500\\ntol_db = 0.5\\n")
+assert main(["snr-region", "--config", sys.argv[2], "--out", sys.argv[1]]) == 0
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_analytic_dmc_sweep_never_loads_scipy_special(tmp_path):
+    # the analytic transition matrix has its own normal CDF, so a sweep
+    # over it does not pay for importing scipy.special
+    env = dict(os.environ, PYTHONPATH=str(Path(relaycm.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", _SWEEP_PROBE, str(tmp_path / "out"),
+                          str(tmp_path / "sweep.ini")],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
