@@ -244,31 +244,25 @@ def _p1evl(x, coef):
 
 
 def _erf(x):
+    """Cephes erf, for |x| < 1."""
     if x < 0.0:
         return -_erf(-x)
-    if x > 1.0:
-        return 1.0 - _erfc(x)
     z = x * x
     return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
 
 
-def _erfc(a):
-    x = abs(a)
+def _erfc(x):
+    """Cephes erfc, for x > 0."""
     if x < 1.0:
-        return 1.0 - _erf(a)
-    z = -a * a
-    y = 0.0
-    if z >= -_MAXLOG:
-        if x < 8.0:
-            p, q = _polevl(x, _ERFC_P), _p1evl(x, _ERFC_Q)
-        else:
-            p, q = _polevl(x, _ERFC_R), _p1evl(x, _ERFC_S)
-        y = math.exp(z) * p / q
-        if a < 0.0:
-            y = 2.0 - y
-    if y != 0.0:
-        return y
-    return 2.0 if a < 0.0 else 0.0      # underflow
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0      # underflow
+    if x < 8.0:
+        p, q = _polevl(x, _ERFC_P), _p1evl(x, _ERFC_Q)
+    else:
+        p, q = _polevl(x, _ERFC_R), _p1evl(x, _ERFC_S)
+    return math.exp(z) * p / q
 
 
 def _ndtr(a: float) -> float:

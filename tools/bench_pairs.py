@@ -125,7 +125,6 @@ def main(argv=None) -> int:
     p.add_argument("--criterion", action="append", default=[],
                    help="acceptance criterion number, e.g. 09; repeatable")
     p.add_argument("--criterion-pairs", type=int, default=1)
-    p.add_argument("--out", help="output path (default: BENCH_<pr>.json in the checkout)")
     args = p.parse_args(argv)
 
     base = ROOT / ".bench_build"
@@ -177,7 +176,7 @@ def main(argv=None) -> int:
                 t: statistics.median(r["durations_s"][t] for r in runs if t in r["durations_s"])
                 for t in tests}
 
-        out = Path(args.out) if args.out else ROOT / f"BENCH_{args.pr}.json"
+        out = ROOT / f"BENCH_{args.pr}.json"
         out.write_text(json.dumps(doc, indent=1) + "\n")
         print(f"wrote {out}")
         correct = all(r["result"]["correct"] and not r["result"]["failed"] for r in doc["runs"])
