@@ -215,6 +215,12 @@ def gmi_with_optimal_scale(llrs: np.ndarray, bits: np.ndarray):
     return _estimate(res.bit_losses), res
 
 
+def decodability_margin(c: Constellation, value: float, rate: float) -> float:
+    """Rate value (bits per symbol) minus what a code of the given rate
+    carries on c: positive means the codeword is inside the rate region."""
+    return value - c.bits_per_symbol * rate
+
+
 class RelayGmiEvaluator:
     """Fixed-noise evaluator of link rates as the second hop snr varies.
 
@@ -311,7 +317,7 @@ class RelayGmiEvaluator:
         """Decodability margin of the mixed codeword of mixture_rate:
         positive means the mixed word is inside the rate region."""
         value, _ = self.mixture_rate(snr2, relay_fraction, rate)
-        return value - self.c.bits_per_symbol * rate
+        return decodability_margin(self.c, value, rate)
 
 
 def single_hop_gmi(c: Constellation, snr: float, n_symbols: int, seed: int) -> GmiEstimate:

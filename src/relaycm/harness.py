@@ -45,6 +45,7 @@ from .gmi import (
     SCALE_RELAY,
     VARIANTS,
     RelayGmiEvaluator,
+    decodability_margin,
     relay_forward,
     relay_llrs,
     required_snr2_db,
@@ -239,8 +240,7 @@ def _required_snr2(cfg, snr1, variant, f, seed):
 
     def margin(db):
         probes[db] = ev.mixture_rate(10.0 ** (db / 10.0), f, sweep["rate"])
-        # RelayGmiEvaluator.mixture_margin, from the rate kept above
-        return probes[db][0] - c.bits_per_symbol * sweep["rate"]
+        return decodability_margin(c, probes[db][0], sweep["rate"])
 
     req = required_snr2_db(margin, sweep["snr2_lo_db"], sweep["snr2_hi_db"], sweep["tol_db"])
     return req, probes

@@ -147,15 +147,12 @@ def test_main_error_paths(tmp_path):
                    "[run]\nkind = coded_contour\n[link]\nvariants = hd_legacy_sopt\n")
     assert main(["coded-contour", "--config", str(coded),
                  "--out", str(tmp_path / "o2")]) == 2
-
-
-@pytest.mark.parametrize("setting", ["iterations = 0", "saturation = 0", "saturation = -1"])
-def test_bad_decoder_settings_exit_2(tmp_path, setting):
-    # before, these ran a whole bisection that no word could pass
-    ini = _write(tmp_path / "c.ini", _SMALL_CODED + setting + "\n")
-    out = tmp_path / "out"
-    assert main(["coded-contour", "--config", str(ini), "--out", str(out)]) == 2
-    assert not list(out.iterdir())
+    # a negative saturation once clipped every message to it and ran a
+    # whole bisection; now it stops before any output
+    bad_code = _write(tmp_path / "s.ini", _SMALL_CODED + "saturation = -1\n")
+    assert main(["coded-contour", "--config", str(bad_code),
+                 "--out", str(tmp_path / "o3")]) == 2
+    assert not list((tmp_path / "o3").iterdir())
 
 
 _SMALL_REGION = """

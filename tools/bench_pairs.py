@@ -8,9 +8,10 @@ Run from the root of a checkout:
 The parent revision is unpacked with ``git archive`` into ``.bench_build/``,
 and so is ``--change`` when given; without it the change side is this
 working tree.  For every workload and seed, ``perfbench/run.py --trace 0``
-runs on the two sides in turn for ``--pairs`` pairs, and the side that
-goes first alternates from pair to pair, so that neither side always runs
-on a warmer or quieter machine.  Each named acceptance criterion then
+runs on the two sides in turn for ``--pairs`` pairs, each run as long as
+the ``run_seconds`` of ``BENCHMARK.json``, and the side that goes first
+alternates from pair to pair, so that neither side always runs on a
+warmer or quieter machine.  Each named acceptance criterion then
 runs under ``pytest --durations=0`` on both sides, alternating the same
 way, for ``--criterion-pairs`` pairs.
 
@@ -120,8 +121,6 @@ def main(argv=None) -> int:
     p.add_argument("--workload", action="append", default=[], help="repeatable")
     p.add_argument("--seeds", type=int, nargs="+", default=[1])
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=35.0,
-                   help="perfbench --seconds of each run")
     p.add_argument("--criterion", action="append", default=[],
                    help="acceptance criterion number, e.g. 09; repeatable")
     p.add_argument("--criterion-pairs", type=int, default=1)
@@ -138,11 +137,13 @@ def main(argv=None) -> int:
             made.append(change)
         dirs = {"parent": made[0], "change": change}
         with open(ROOT / "BENCHMARK.json") as fh:
-            metrics = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
+            bench = json.load(fh)
+        metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+        seconds = float(bench["run_seconds"])
 
         doc = {
             "parent": args.parent, "change": args.change or "working tree",
-            "command": "perfbench/run.py --trace 0", "seconds_per_run": args.seconds,
+            "command": "perfbench/run.py --trace 0", "seconds_per_run": seconds,
             "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                         "platform": platform.platform()},
             "runs": [], "summary": {}, "criteria": {"runs": [], "summary": {}},
@@ -153,7 +154,7 @@ def main(argv=None) -> int:
                 for i in range(args.pairs):
                     pair = {}
                     for side in order(i):
-                        pair[side] = run_perfbench(dirs[side], workload, seed, args.seconds)
+                        pair[side] = run_perfbench(dirs[side], workload, seed, seconds)
                         doc["runs"].append({"workload": workload, "seed": seed, "pair": i,
                                             "side": side, "result": pair[side]})
                         print(f"{workload} seed {seed} pair {i} {side}: "
