@@ -186,11 +186,22 @@ def transmit(symbols: np.ndarray, seg: AwgnSegment, seed) -> np.ndarray:
 
 def nearest_index(y, points: np.ndarray):
     """Index of the closest point in Euclidean distance; ties take the
-    lowest index (np.argmin first-hit order)."""
+    lowest index (np.argmin first-hit order).
+
+    Arrays keep a running minimum over the points, so that no y.size by
+    len(points) temporary is built; only a strictly closer point takes over.
+    """
     y = np.asarray(y)
     if y.ndim == 0:
         return int(np.argmin(np.abs(y - points)))
-    return np.argmin(np.abs(y[..., None] - points[None, :]), axis=-1)
+    best = np.abs(y - points[0])
+    idx = np.zeros(y.shape, dtype=np.intp)
+    for k in range(1, len(points)):
+        d = np.abs(y - points[k])
+        closer = d < best
+        idx[closer] = k
+        np.minimum(best, d, out=best)
+    return idx
 
 
 def _rect_grid(c: Constellation):
@@ -329,16 +340,20 @@ def transition_matrix(
     elif method == MONTE_CARLO:
         if mc_samples < 1:
             raise ConfigError("mc_samples must be positive")
-        counts = np.zeros((c.order, c.order), dtype=np.int64)
         var = seg.noise_var
-        for j in range(c.order):
-            rng = derived_rng(seed, j)
-            done = 0
-            while done < mc_samples:
-                n = min(_MC_CHUNK, mc_samples - done)
-                y = c.symbols[j] + np.sqrt(var) * complex_noise_unit(rng, n)
-                counts[:, j] += np.bincount(nearest_index(y, c.symbols), minlength=c.order)
-                done += n
+        if var == 0.0:
+            # without noise every draw lands on its own symbol
+            counts = np.eye(c.order, dtype=np.int64) * mc_samples
+        else:
+            counts = np.zeros((c.order, c.order), dtype=np.int64)
+            for j in range(c.order):
+                rng = derived_rng(seed, j)
+                done = 0
+                while done < mc_samples:
+                    n = min(_MC_CHUNK, mc_samples - done)
+                    y = c.symbols[j] + np.sqrt(var) * complex_noise_unit(rng, n)
+                    counts[:, j] += np.bincount(nearest_index(y, c.symbols), minlength=c.order)
+                    done += n
         m = DmcMatrix(probs=counts / mc_samples, snr_db=snr_db, method=MONTE_CARLO, seed=seed)
     else:
         raise ConfigError(f"unknown transition matrix method {method!r}")

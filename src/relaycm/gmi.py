@@ -335,6 +335,8 @@ def required_snr2_db(
     lo_db: float = -2.0,
     hi_db: float = 30.0,
     tol_db: float = 0.05,
+    *,
+    continuous: bool = False,
 ) -> float:
     """Smallest second-hop snr (dB) with nonnegative margin.
 
@@ -342,7 +344,18 @@ def required_snr2_db(
     in snr2.  Returns lo_db when already satisfied there, inf when not
     satisfiable at hi_db, otherwise the high side of a bisection bracket
     no wider than tol_db.
+
+    By default this is plain bisection: margin_fn(hi_db), margin_fn(lo_db),
+    then the midpoints.  continuous=True states that the margin's size,
+    not only its sign, says where the boundary lies, as for a rate from a
+    fixed-noise evaluator.  The search then probes estimates of the zero,
+    snapped to the brackets bisection could end in (_grid_search): on any
+    monotone margin it returns the same float as bisection, with no more
+    probes when the answer lies above lo_db, at most three when lo_db
+    passes and at most two when hi_db fails.
     """
+    if continuous:
+        return _grid_search(margin_fn, lo_db, hi_db, tol_db)
     if margin_fn(hi_db) < 0.0:
         return np.inf
     if margin_fn(lo_db) >= 0.0:
@@ -355,3 +368,92 @@ def required_snr2_db(
         else:
             lo = mid
     return hi
+
+
+def _descend(lo, hi, tol, a, b):
+    """Walk bisection's tree from [lo, hi] with its own float operations,
+    taking every mid >= b as passing and every mid <= a as failing.
+
+    Stops at the first bracket whose mid lies strictly inside (a, b), or
+    at a final bracket (width <= tol); returns that bracket and the number
+    of halvings down to it.  With a == b == x, the final bracket (lo, hi]
+    that holds x.
+    """
+    depth = 0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if mid >= b:
+            hi = mid
+        elif mid <= a:
+            lo = mid
+        else:
+            break
+        depth += 1
+    return lo, hi, depth
+
+
+def _zero_estimate(pts):
+    """snr2 at zero margin by inverse interpolation: the polynomial in
+    the margin through the (snr2, margin) pairs pts, whose margins must
+    differ, evaluated at zero."""
+    x0 = 0.0
+    for i, (xi, yi) in enumerate(pts):
+        for j, (_, yj) in enumerate(pts):
+            if j != i:
+                xi *= yj / (yj - yi)
+        x0 += xi
+    return x0
+
+
+def _grid_search(margin_fn, lo_db, hi_db, tol_db):
+    """Bisection's answer on a margin with continuous values, in fewer probes.
+
+    Bisection returns lo_db or the upper end of one of its final brackets;
+    call these the candidates.  Adjacent final brackets share their ends,
+    so on a monotone margin it returns the smallest passing candidate,
+    and so does this search.  It keeps candidates a below the answer and
+    b at or above it, probes only candidates strictly between them, and
+    stops when they bound one final bracket.  lo_db and hi_db count as a
+    and b before they are probed; a probe inside settles one of them.
+
+    A passing first mid is followed by the next mid below it and then,
+    if that passes too, by lo_db; a failing one by hi_db.  After that,
+    each probe is the candidate nearest an estimate of the zero (from
+    the three probes nearest it, or regula falsi on a and b), or else
+    bisection's next undecided mid.  Bisection makes two end probes and
+    one per mid down to its final bracket; a mid probe decides at least
+    one mid, an estimate may decide none, so estimates are taken only
+    while probes <= decided mids + 1.
+    """
+    a, b, fa, fb = lo_db, hi_db, None, None
+    probes = []
+    while True:
+        lo, hi, depth = _descend(lo_db, hi_db, tol_db, a, b)
+        final = not hi - lo > tol_db
+        if fa is None and (final or len(probes) >= 2):
+            x = a
+        elif fb is None and (final or fa is not None):
+            x = b
+        elif final:
+            return b
+        else:
+            x = (lo + hi) / 2.0
+            if fa is not None and fb is not None and len(probes) <= depth + 1:
+                near = sorted(probes, key=lambda p: abs(p[1]))[:3]
+                guess = _zero_estimate(near) if len({m for _, m in near}) == 3 else None
+                if guess is None or not a < guess < b:
+                    guess = b - fb * (b - a) / (fb - fa)
+                l, h, _ = _descend(lo_db, hi_db, tol_db, guess, guess)
+                inside = [v for v in (l, h) if a < v < b]
+                if inside:
+                    x = min(inside, key=lambda v: abs(v - guess))
+        m = margin_fn(x)
+        probes.append((x, m))
+        if m >= 0.0:
+            if x == lo_db:
+                return lo_db
+            b, fb = x, m
+        elif x == hi_db:
+            return np.inf
+        else:
+            a, fa = x, m

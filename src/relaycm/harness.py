@@ -242,7 +242,8 @@ def _required_snr2(cfg, snr1, variant, f, seed):
         probes[db] = ev.mixture_rate(10.0 ** (db / 10.0), f, sweep["rate"])
         return decodability_margin(c, probes[db][0], sweep["rate"])
 
-    req = required_snr2_db(margin, sweep["snr2_lo_db"], sweep["snr2_hi_db"], sweep["tol_db"])
+    req = required_snr2_db(margin, sweep["snr2_lo_db"], sweep["snr2_hi_db"], sweep["tol_db"],
+                           continuous=True)
     return req, probes
 
 
@@ -352,6 +353,8 @@ def _coded_task(t):
         bers[db] = _coded_ber(t, code, c, dmc, snr1, words, 10.0 ** (db / 10.0))
         return cc["ber_target"] - bers[db]
 
+    # bisection, not the continuous search: the BER moves in steps, and a
+    # failing probe's early exit leaves only a lower bound on it
     req = required_snr2_db(margin, sweep["snr2_lo_db"], sweep["snr2_hi_db"], cc["tol_db"])
     row = {"x": t["x"], "realized_f": words[0][0].realized_fraction}
     if not math.isinf(req):

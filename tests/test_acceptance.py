@@ -134,7 +134,7 @@ def _required_curve(variant, f, n_symbols, seed_base, tol=0.02):
                                seed=seed_base + 131 * gi)
         req = required_snr2_db(
             lambda db: ev.mixture_margin(10 ** (db / 10), f, 0.8),
-            lo_db=-2.0, hi_db=30.0, tol_db=tol,
+            lo_db=-2.0, hi_db=30.0, tol_db=tol, continuous=True,
         )
         out.append(req)
     return out
@@ -161,7 +161,7 @@ def test_criterion_06_load_flattens_the_contour(capsys):
         for f in curves:
             req = required_snr2_db(
                 lambda db: ev.mixture_margin(10 ** (db / 10), f, 0.8),
-                lo_db=-2.0, hi_db=30.0, tol_db=0.02,
+                lo_db=-2.0, hi_db=30.0, tol_db=0.02, continuous=True,
             )
             curves[f].append(req)
     spreads = [max(curves[f]) - min(curves[f]) for f in (0.0, 0.5, 0.9)]
@@ -199,7 +199,7 @@ def test_criterion_08_coded_operation_near_threshold(capsys):
     def gmi_margin(db):
         return single_hop_gmi(c, 10 ** (db / 10), 200_000, seed=9).value - target
 
-    thr_db = required_snr2_db(gmi_margin, lo_db=6.0, hi_db=14.0, tol_db=0.01)
+    thr_db = required_snr2_db(gmi_margin, lo_db=6.0, hi_db=14.0, tol_db=0.01, continuous=True)
     op_db = thr_db + 1.5
     snr = 10 ** (op_db / 10)
     dem = Demapper.conventional(c, snr)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from relaycm import channel
 from relaycm.channel import (
     NOISELESS_SNR,
     _ndtr,
@@ -146,6 +147,49 @@ def test_nearest_index_tie_takes_lowest():
     tied = np.flatnonzero(np.isclose(d, d.min()))
     assert len(tied) == 4
     assert idx == tied.min()
+
+
+def _argmin_slicer(y, points):
+    return np.argmin(np.abs(y[:, None] - points[None, :]), axis=1)
+
+
+def test_nearest_index_matches_argmin_on_exact_ties():
+    for name in ("qam16", "qam32"):
+        s = build_constellation(name).symbols
+        # every pairwise midpoint: y = 0 on qam16, square centres, and the
+        # midpoints next to the missing corners of the qam32 cross
+        y = ((s[:, None] + s[None, :]) / 2.0).ravel()
+        if name == "qam32":
+            # the diagonals that split each missing corner's quadrant
+            t = np.linspace(3.5, 5.5, 9) * s.real.max() / 5.0
+            y = np.concatenate([y, (np.array([1, 1j, -1, -1j])[:, None] * (t + 1j * t)).ravel()])
+        assert np.array_equal(nearest_index(y, s), _argmin_slicer(y, s))
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(["qam16", "qam32"]),
+       pts=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=1,
+                    max_size=64))
+def test_nearest_index_matches_argmin(name, pts):
+    s = build_constellation(name).symbols
+    y = np.array([complex(re, im) for re, im in pts])
+    got = nearest_index(y, s)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, _argmin_slicer(y, s))
+    if len(y) % 2 == 0:
+        assert np.array_equal(nearest_index(y.reshape(2, -1), s), got.reshape(2, -1))
+
+
+def test_noiseless_monte_carlo_dmc_draws_nothing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a noiseless hop drew noise")
+
+    monkeypatch.setattr(channel, "complex_noise_unit", no_draws)
+    for name in ("qam16", "qam32"):
+        c = build_constellation(name)
+        w = transition_matrix(c, NOISELESS_SNR, method="mc", mc_samples=50_000, seed=3)
+        assert np.array_equal(w.probs, np.eye(c.order))
+        assert (w.method, w.seed) == ("mc", 3)
 
 
 def test_nearest_index_scale_invariant():

@@ -264,6 +264,114 @@ def test_required_snr_bisection_contract():
     assert required_snr2_db(lambda s: s - 7.0, lo_db=7.5) == 7.5
 
 
+def _bisection(margin_fn, lo, hi, tol):
+    # the plain bisection that required_snr2_db runs by default
+    if margin_fn(hi) < 0.0:
+        return math.inf
+    if margin_fn(lo) >= 0.0:
+        return lo
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if margin_fn(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _logged(fn):
+    log = []
+
+    def margin(db):
+        log.append(db)
+        return fn(db)
+    return margin, log
+
+
+def _final_brackets(lo, hi, tol):
+    # every bracket bisection can end in, left to right (tests only)
+    if not hi - lo > tol:
+        return [(lo, hi)]
+    mid = (lo + hi) / 2.0
+    return _final_brackets(lo, mid, tol) + _final_brackets(mid, hi, tol)
+
+
+_BRACKETS = st.one_of(
+    st.sampled_from([(-2.0, 30.0, 0.05), (0.1, 29.7, 0.03), (6.0, 14.0, 0.01)]),
+    st.tuples(st.floats(-10.0, 10.0), st.floats(0.01, 40.0), st.floats(1e-3, 2.0))
+    .map(lambda t: (t[0], t[0] + t[1], t[2])),
+)
+
+
+@st.composite
+def _monotone_margins(draw):
+    """(lo, hi, tol, margin) with a nondecreasing margin of one of four shapes."""
+    lo, hi, tol = draw(_BRACKETS)
+    width = hi - lo
+    root = draw(st.floats(lo - 0.2 * width, hi + 0.2 * width))
+    slope = draw(st.floats(1e-3, 1e3))
+    kind = draw(st.sampled_from(["smooth", "stepped", "plateau", "zero_at_candidate"]))
+    if kind == "smooth":
+        # S-shaped like a rate curve, plus a linear part of drawn weight
+        lin = draw(st.floats(0.0, 1.0))
+        return lo, hi, tol, lambda x: math.tanh(slope * (x - root)) + lin * (x - root)
+    if kind == "stepped":
+        step = tol * draw(st.floats(0.25, 100.0))
+        return lo, hi, tol, lambda x: slope * math.floor((x - root) / step)
+    if kind == "plateau":
+        below, above = draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 5.0))
+        return lo, hi, tol, lambda x: min(max(slope * (x - root), -below), above)
+    # exactly zero at the candidate that bisection returns for this root
+    cand = _bisection(lambda x: x - root, lo, hi, tol)
+    cand = hi if math.isinf(cand) else cand
+    return lo, hi, tol, lambda x: slope * (x - cand)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_monotone_margins())
+def test_continuous_search_returns_bisections_float(case):
+    lo, hi, tol, fn = case
+    m_b, bisected = _logged(fn)
+    want = _bisection(m_b, lo, hi, tol)
+    m_s, searched = _logged(fn)
+    got = required_snr2_db(m_s, lo, hi, tol, continuous=True)
+    assert got.hex() == want.hex()
+    assert len(set(searched)) == len(searched)
+    if math.isinf(got):
+        assert len(searched) <= 2
+    elif got == lo:
+        assert len(searched) <= 3
+    else:
+        assert got in searched
+        assert len(searched) <= len(bisected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monotone_margins())
+def test_default_search_makes_bisections_probes(case):
+    lo, hi, tol, fn = case
+    m_b, bisected = _logged(fn)
+    want = _bisection(m_b, lo, hi, tol)
+    m_d, probed = _logged(fn)
+    got = required_snr2_db(m_d, lo, hi, tol)
+    assert got.hex() == want.hex()
+    assert probed == bisected
+
+
+def test_continuous_search_finds_every_candidate_of_an_uneven_grid():
+    lo, hi, tol = 0.1, 29.7, 0.03
+    brackets = _final_brackets(lo, hi, tol)
+    # the widths are not all equal, so the grid is not lo + j (hi - lo) / 2^K
+    assert len({h - l for l, h in brackets}) > 1
+    for cand in [lo] + [h for _, h in brackets]:
+        for fn in (lambda x: x - cand, lambda x: math.tanh(3.0 * (x - cand))):
+            m_b, bisected = _logged(fn)
+            m_s, searched = _logged(fn)
+            got = required_snr2_db(m_s, lo, hi, tol, continuous=True)
+            assert got == _bisection(m_b, lo, hi, tol) == cand
+            assert len(searched) <= max(len(bisected), 3)
+
+
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 

@@ -391,12 +391,17 @@ def _reference_coded_point(t):
     def ber(db):
         return _reference_coded_ber(t, code, c, dmc, snr1, 10.0 ** (db / 10.0))
 
-    req = required_snr2_db(lambda db: cc["ber_target"] - ber(db),
-                           sweep["snr2_lo_db"], sweep["snr2_hi_db"], cc["tol_db"])
+    searched = []
+
+    def margin(db):
+        searched.append(db)
+        return cc["ber_target"] - ber(db)
+
+    req = required_snr2_db(margin, sweep["snr2_lo_db"], sweep["snr2_hi_db"], cc["tol_db"])
     row = {"x": t["x"], "realized_f": cont.realized_fraction}
     if not math.isinf(req):
         row.update(y=req, ber=ber(req))
-    return row, ber
+    return row, ber, searched
 
 
 def _log_probes(m):
@@ -404,11 +409,11 @@ def _log_probes(m):
     every (snr2 dB, margin) probe; returns the log."""
     log = []
 
-    def logged(margin_fn, *args):
+    def logged(margin_fn, *args, **kwargs):
         def probe(db):
             log.append((db, margin_fn(db)))
             return log[-1][1]
-        return required_snr2_db(probe, *args)
+        return required_snr2_db(probe, *args, **kwargs)
 
     m.setattr(harness, "required_snr2_db", logged)
     return log
@@ -437,7 +442,7 @@ n_codewords = {n_codewords}
 ber_target = {ber_target!r}
 tol_db = 0.5
 """, seed=seed, x=x, variant=variant, coupling=2, strategy=strategy, f=f)
-    want, full_ber = _reference_coded_point(t)
+    want, full_ber, searched = _reference_coded_point(t)
     decodes = []
 
     def counted_decode(*args, **kwargs):
@@ -451,6 +456,8 @@ tol_db = 0.5
     assert row == want
     dbs = [db for db, _ in probes]
     assert len(set(dbs)) == len(dbs)
+    # a coded point keeps plain bisection: an early exit changes no sign
+    assert dbs == searched
     assert len(decodes) <= n_codewords * len(dbs)
     for db, margin in probes:
         full = ber_target - full_ber(db)

@@ -2,8 +2,10 @@
 
 Run from the root of a checkout:
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --pr 7 \\
-        --workload region-qam16 --seeds 1 7 --pairs 10 --criterion 09
+    python3 tools/bench_pairs.py --parent HEAD~1 --pr 8 \\
+        --workload region-qam16:1,7 --workload reach-qam32-mc --pairs 10 --criterion 09
+
+A workload runs at the seeds after its colon, or else at ``--seeds``.
 
 The parent revision is unpacked with ``git archive`` into ``.bench_build/``,
 and so is ``--change`` when given; without it the change side is this
@@ -118,11 +120,13 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, help="revision of the parent side")
     p.add_argument("--change", help="revision of the change side (default: this working tree)")
     p.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
-    p.add_argument("--workload", action="append", default=[], help="repeatable")
-    p.add_argument("--seeds", type=int, nargs="+", default=[1])
+    p.add_argument("--workload", action="append", default=[],
+                   help="NAME or NAME:SEED,SEED,...; repeatable")
+    p.add_argument("--seeds", type=int, nargs="+", default=[1],
+                   help="seeds of a workload named without its own")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--criterion", action="append", default=[],
-                   help="acceptance criterion number, e.g. 09; repeatable")
+    p.add_argument("--criterion", action="extend", nargs="+", default=[],
+                   help="acceptance criterion numbers, e.g. 05 09; repeatable")
     p.add_argument("--criterion-pairs", type=int, default=1)
     args = p.parse_args(argv)
 
@@ -148,8 +152,9 @@ def main(argv=None) -> int:
                         "platform": platform.platform()},
             "runs": [], "summary": {}, "criteria": {"runs": [], "summary": {}},
         }
-        for workload in args.workload:
-            for seed in args.seeds:
+        for spec in args.workload:
+            workload, _, own = spec.partition(":")
+            for seed in [int(v) for v in own.split(",")] if own else args.seeds:
                 pairs = []
                 for i in range(args.pairs):
                     pair = {}
