@@ -26,8 +26,11 @@ and caches: one row per check slot, one column per check, and for each
 variable the slots of its dv edges.  A window step is a column slice of
 that layout plus the contiguous run of variables its checks reach, so no
 step re-derives its edges.  Every check and variable sum adds its terms
-in check-sorted edge order, the order of a per-check bincount, so the
-window and the layout do not change a single bit of the result.
+one at a time in check-sorted edge order, so the window and the layout
+do not change a single bit of the result.  Decoding runs in float32: the
+check-node function is computed as log1p(2 / expm1(x)), which keeps its
+tail in float32 where -ln tanh(x/2) would round it to zero.  Building,
+encoding and the syndrome stay exact integer work.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ DEFAULT_DV = 3
 DEFAULT_DC = 15
 _MAX_BUILD_ATTEMPTS = 20
 _PHI_FLOOR = 1e-12
+_PHI_CEIL = 88.0
 
 
 def design_rate(chain_len: int, coupling: int, dv: int = DEFAULT_DV, dc: int = DEFAULT_DC) -> float:
@@ -108,27 +112,36 @@ def _greedy_offsets(q, w, dv, dc, rng):
 
 def _gf2_solver(m: np.ndarray):
     """Row reduce m over GF(2), returning (transform, pivot_cols, rank)
-    with transform @ m in reduced echelon form."""
+    with transform @ m in reduced echelon form.
+
+    Rows of [m | I] are packed 64 columns to a word, each half from a word
+    boundary, so that a row operation is one XOR of a few dozen words.
+    """
     n_rows, n_cols = m.shape
-    a = (m % 2).astype(np.uint8)
-    t = np.eye(n_rows, dtype=np.uint8)
+    wm, wt = -(-n_cols // 64), -(-n_rows // 64)
+    bits = np.zeros((n_rows, 64 * (wm + wt)), dtype=np.uint8)
+    bits[:, :n_cols] = m % 2
+    bits[np.arange(n_rows), 64 * wm + np.arange(n_rows)] = 1
+    a = np.packbits(bits, axis=1, bitorder="little").view("<u8")
     pivots = []
     r = 0
     for col in range(n_cols):
-        rows = np.flatnonzero(a[r:, col]) + r
+        w, b = divmod(col, 64)
+        rows = np.flatnonzero((a[r:, w] >> b) & 1) + r
         if len(rows) == 0:
             continue
         if rows[0] != r:
             a[[r, rows[0]]] = a[[rows[0], r]]
-            t[[r, rows[0]]] = t[[rows[0], r]]
-        hit = np.flatnonzero(a[:, col])
+        hit = np.flatnonzero((a[:, w] >> b) & 1)
         hit = hit[hit != r]
-        a[hit] ^= a[r]
-        t[hit] ^= t[r]
+        # the pivot row is zero left of col, so words before w stay put
+        a[hit, w:] ^= a[r, w:]
         pivots.append(col)
         r += 1
         if r == n_rows:
             break
+    t = np.unpackbits(np.ascontiguousarray(a[:, wm:]).view(np.uint8), axis=1,
+                      bitorder="little")[:, :n_rows]
     return t, np.array(pivots, dtype=np.int64), r
 
 
@@ -346,7 +359,7 @@ def build_code(q: int, chain_len: int, coupling: int, seed: int = 0,
 
 
 class DecodeResult:
-    """Hard output word, per-position convergence flags, and the
+    """Hard output word, per-position convergence flags, and the float32
     posterior LLR of every variable at the step that committed it."""
 
     def __init__(self, bits, converged, iterations, posteriors):
@@ -359,15 +372,18 @@ class DecodeResult:
         return self.bits[code.info_vars]
 
 
-def _phi(x, floor, out):
-    # involution -ln tanh(x/2); floor keeps it finite at both ends.  It is
-    # an array of _PHI_FLOOR because np.maximum against a scalar runs
-    # about 3x slower than against an array of the same shape.
-    np.maximum(x, floor, out=out)
-    np.divide(out, 2.0, out=out)
-    np.tanh(out, out=out)
-    np.log(out, out=out)
-    return np.negative(out, out=out)
+def _phi(x, out):
+    # involution -ln tanh(x/2), written log1p(2 / expm1(x)) so that float32
+    # keeps its tail: float32 tanh(x/2) rounds to 1 near x = 17, where
+    # -ln tanh would read 0.  The clip keeps every step finite and normal:
+    # expm1 overflows float32 above about 88.7, and 2 / expm1 turns
+    # subnormal above about 88.03, so phi(x >= _PHI_CEIL) = phi(_PHI_CEIL),
+    # about 1.2e-38.  Scalar bounds: np.clip against arrays of the bounds
+    # runs about 5x slower.
+    np.clip(x, _PHI_FLOOR, _PHI_CEIL, out=out)
+    np.expm1(out, out=out)
+    np.divide(2.0, out, out=out)
+    return np.log1p(out, out=out)
 
 
 def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
@@ -385,38 +401,38 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
     SpatiallyCoupledCode._slot_layout).  A step is a column slice of it,
     the window's checks, plus the contiguous run of variables those checks
     reach; slots of committed variables take no messages and only fix
-    the parity of their checks.  Check and variable sums add in edge
-    order, as a per-check bincount would, and _phi is unchanged, so the
-    layout moves no bit of the result.
+    the parity of their checks.  Every message, sum and posterior is
+    float32, and check and variable sums add one term at a time in
+    check-sorted edge order, so the layout moves no bit of the result.
+    The LLRs are rounded to float32 on entry.
     """
     L, w, q, dv, dc = code.chain_len, code.coupling, code.q, code.dv, code.dc
     win = 4 * w if window is None else int(window)
     if win < w:
         raise ConfigError("window must span at least the coupling width")
-    lam = np.asarray(llrs, dtype=np.float64).ravel()
+    lam = np.asarray(llrs, dtype=np.float32).ravel()
     if len(lam) != code.n:
         raise ConfigError(f"expected {code.n} LLRs, got {len(lam)}")
     slot_var, var_slot = code._slot_layout()
     n, span, n_slots = code.n, dc * q, slot_var.shape[0]
     # index n is the pad sentinel: its hard bit stays 0
     hard = np.zeros(n + 1, dtype=np.uint8)
-    post = np.zeros(n + 1)
+    post = np.zeros(n + 1, dtype=np.float32)
     # check-to-variable messages on the whole layout.  Columns past a
     # step's window are still zero, so a variable's edges to checks the
     # window has not reached add nothing to its posterior.
-    c2v = np.zeros((n_slots, code.n_checks))
+    c2v = np.zeros((n_slots, code.n_checks), dtype=np.float32)
     c2v_flat = c2v.reshape(-1)
     # work buffers, allocated once: fresh temporaries would fault in pages
     # on every iteration
     max_chk, max_var = min(win, L + w - 1) * dv * q, min(win, L) * span
-    f64 = np.empty((4, n_slots * max_chk))
-    floor = np.full(n_slots * max_chk, _PHI_FLOOR)
-    u8 = np.empty((3, n_slots * max_chk), dtype=np.uint8)
+    f32 = np.empty((4, n_slots * max_chk), dtype=np.float32)
+    u8 = np.empty((4, n_slots * max_chk), dtype=np.uint8)
     chk_u8 = np.empty((2, max_chk), dtype=np.uint8)
-    chk_f64 = np.empty(max_chk)
-    var_msgs = np.empty(dv * max_var)
-    var_f64 = np.empty(max_var)
-    llr = np.empty(n)
+    chk_f32 = np.empty(max_chk, dtype=np.float32)
+    var_msgs = np.empty(dv * max_var, dtype=np.float32)
+    var_f32 = np.empty(max_var, dtype=np.float32)
+    llr = np.empty(n, dtype=np.float32)
     total_iter = 0
     for t0 in range(L):
         c_hi = min(t0 + win, L + w - 1)
@@ -428,14 +444,14 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
         gvar = slot_var[:, chk0:chk1].copy()
         vslot = var_slot[:, v0:v1].copy()
         msg = c2v[:, chk0:chk1]
-        gath, v2c, ph, mag = (b[:n_slots * n_chk].reshape(shape) for b in f64)
+        gath, v2c, ph, mag = (b[:n_slots * n_chk].reshape(shape) for b in f32)
         sign = v2c   # v2c is spent once neg and ph are formed
-        fl = floor[:n_slots * n_chk].reshape(shape)
-        neg, par, live = (b[:n_slots * n_chk].reshape(shape) for b in u8)
+        neg, par, live, far = (b[:n_slots * n_chk].reshape(shape) for b in u8)
+        far = far.view(bool)
         chk_par, syn = chk_u8[:, :n_chk]
-        ph_sum = chk_f64[:n_chk]
+        ph_sum = chk_f32[:n_chk]
         v_msgs = var_msgs[:dv * n_var].reshape(dv, n_var)
-        v_sum = var_f64[:n_var]
+        v_sum = var_f32[:n_var]
         lam_w, post_w = lam[v0:v1], post[v0:v1]
         # slots of committed variables and pads: no messages, and the
         # committed bits fold into a fixed parity per check
@@ -444,27 +460,37 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
         flip = np.bitwise_xor.reduce(hard.take(gvar), axis=0)
         post_w[:] = lam_w
         msg[:] = 0.0
-        np.take(post, gvar, out=gath)
+        # every np.take here uses mode="wrap": the layout's indices are in
+        # range, and under the default mode="raise" np.take fills out
+        # through a buffered copy, about 1.7x slower
+        np.take(post, gvar, out=gath, mode="wrap")
         for _ in range(iterations):
             total_iter += 1
             np.subtract(gath, msg, out=v2c)
             np.clip(v2c, -saturation, saturation, out=v2c)
             np.less(v2c, 0.0, out=neg)
-            _phi(np.abs(v2c, out=ph), fl, out=ph)
+            _phi(np.abs(v2c, out=ph), out=ph)
             ph[dead] = 0.0
             np.sum(ph, axis=0, out=ph_sum)
-            _phi(np.subtract(ph_sum, ph, out=mag), fl, out=mag)
+            np.subtract(ph_sum, ph, out=mag)
+            # past the ceiling phi is below every normal float32: send 0,
+            # not _phi's clipped 1.2e-38, so that a check whose other
+            # inputs carry nothing sends nothing
+            np.greater_equal(mag, _PHI_CEIL, out=far)
+            _phi(mag, out=mag)
+            mag[far] = 0.0
             np.bitwise_and(neg, live, out=neg)
             np.bitwise_xor.reduce(neg, axis=0, out=chk_par)
             np.bitwise_xor(chk_par, flip, out=chk_par)
             np.bitwise_xor(neg, chk_par, out=par)
-            np.multiply(par, -2.0, out=sign)
+            # a float32 scalar: uint8 times a Python float runs in float64
+            np.multiply(par, np.float32(-2.0), out=sign)
             np.add(sign, 1.0, out=sign)
             np.multiply(mag, sign, out=msg)
-            np.take(c2v_flat, vslot, out=v_msgs)
+            np.take(c2v_flat, vslot, out=v_msgs, mode="wrap")
             np.add(lam_w, np.sum(v_msgs, axis=0, out=v_sum), out=post_w)
             # the syndrome test reads the gather the next iteration needs
-            np.take(post, gvar, out=gath)
+            np.take(post, gvar, out=gath, mode="wrap")
             np.less(gath, 0.0, out=neg)
             np.bitwise_and(neg, live, out=neg)
             np.bitwise_xor.reduce(neg, axis=0, out=syn)

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaycm.errors import ConfigError
-from relaycm.scldpc import DEFAULT_DC, SpatiallyCoupledCode, build_code, decode, design_rate
+from relaycm.scldpc import (DEFAULT_DC, SpatiallyCoupledCode, _gf2_solver, _phi, build_code,
+                            decode, design_rate)
 
 
 def test_design_rate_arithmetic():
@@ -208,18 +209,25 @@ def test_decode_validation():
         decode(code, np.zeros(code.n - 1))
 
 
-def _reference_phi(x):
-    return -np.log(np.tanh(np.maximum(x, 1e-12) / 2.0))
+def _reference_phi(x, dtype):
+    if dtype == np.float64:
+        # the float64 arithmetic the decoder used before it moved to float32
+        return -np.log(np.tanh(np.maximum(x, 1e-12) / 2.0))
+    return np.log1p(2.0 / np.expm1(np.clip(x, np.float32(1e-12), np.float32(88.0))))
 
 
-def _reference_decode(code, llrs, window=None, iterations=20, saturation=25.0):
+def _reference_decode(code, llrs, window=None, iterations=20, saturation=25.0,
+                      dtype=np.float32):
     # the edge-list decoder: re-derives each window's edges, np.unique for
-    # its variables, and every sum as a bincount over the check-sorted edges
+    # its variables, and every float sum as np.add.at over the check-sorted
+    # edges, one term at a time in the given dtype (np.bincount would sum
+    # in float64 whatever its weights).  float32 is the decoder's arithmetic,
+    # float64 the one it replaced.
     L, w, q, dv, dc = code.chain_len, code.coupling, code.q, code.dv, code.dc
     win = 4 * w if window is None else int(window)
-    lam = np.asarray(llrs, dtype=np.float64).ravel()
+    lam = np.asarray(llrs, dtype=dtype).ravel()
     hard = np.zeros(code.n, dtype=np.uint8)
-    llr = np.empty(code.n)
+    llr = np.empty(code.n, dtype=dtype)
     min_abs = np.full(L, np.inf)
     total_iter = 0
     for t0 in range(L):
@@ -236,18 +244,25 @@ def _reference_decode(code, llrs, window=None, iterations=20, saturation=25.0):
         achk = echk[~frozen]
         uvar, inv = np.unique(avar, return_inverse=True)
         lam_u = lam[uvar]
-        c2v = np.zeros(len(avar))
+        c2v = np.zeros(len(avar), dtype=dtype)
         post = lam_u.copy()
         for _ in range(iterations):
             total_iter += 1
             v2c = np.clip(post[inv] - c2v, -saturation, saturation)
             neg = v2c < 0.0
-            ph = _reference_phi(np.abs(v2c))
-            mag = _reference_phi(np.bincount(achk, weights=ph, minlength=n_chk)[achk] - ph)
+            ph = _reference_phi(np.abs(v2c), dtype)
+            ph_sum = np.zeros(n_chk, dtype=dtype)
+            np.add.at(ph_sum, achk, ph)
+            arg = ph_sum[achk] - ph
+            mag = _reference_phi(arg, dtype)
+            if dtype == np.float32:
+                mag[arg >= 88.0] = 0.0
             n_neg = np.bincount(achk, weights=neg, minlength=n_chk).astype(np.int64)
             par = (n_neg[achk] - neg + flip[achk]) % 2
             c2v = np.where(par == 0, mag, -mag)
-            post = lam_u + np.bincount(inv, weights=c2v, minlength=len(uvar))
+            v_sum = np.zeros(len(uvar), dtype=dtype)
+            np.add.at(v_sum, inv, c2v)
+            post = lam_u + v_sum
             hb = (post < 0.0).astype(np.float64)
             syn = np.bincount(achk, weights=hb[inv], minlength=n_chk).astype(np.int64) + flip
             if not np.any(syn % 2):
@@ -262,8 +277,6 @@ def _reference_decode(code, llrs, window=None, iterations=20, saturation=25.0):
     for t in range(L):
         flags[t] = bool(clean[t:min(t + w, L + w - 1)].all()) and min_abs[t] > 0.0
     return hard, flags, total_iter, llr
-
-
 
 
 def _noisy_llrs(code, sigma, zero_frac, rng):
@@ -310,3 +323,97 @@ def test_cached_layout_serves_every_window():
     lam = _noisy_llrs(code, 0.8, 0.02, np.random.default_rng(4))
     for window in (4, 10, 4):
         _assert_matches_reference(code, lam, window=window, iterations=12)
+
+
+def test_phi_keeps_its_float32_tail():
+    # -ln tanh(x/2) in float32 reads 0 from x near 17 on; small codes still
+    # decode with that, long ones pick up errors (criterion 8)
+    x = np.geomspace(1e-12, 87.9, 4000).astype(np.float32)
+    got = _phi(x, out=np.empty_like(x))
+    assert got.dtype == np.float32
+    exact = np.log1p(2.0 / np.expm1(x.astype(np.float64)))
+    np.testing.assert_allclose(got, exact, rtol=1e-6, atol=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_decode_cases(), iterations=st.integers(1, 30), sigma=st.floats(0.3, 1.2),
+       seed=st.integers(0, 2**32 - 1))
+def test_float32_decode_agrees_with_float64_on_converged_words(case, iterations, sigma, seed):
+    q, chain_len, w, window = case
+    code = _shared_code(q, chain_len, w)
+    lam = _noisy_llrs(code, sigma, 0.0, np.random.default_rng(seed))
+    bits, flags, _, _ = _reference_decode(code, lam, window=window, iterations=iterations,
+                                          dtype=np.float64)
+    if flags.all():
+        res = decode(code, lam, window=window, iterations=iterations)
+        assert np.array_equal(res.bits, bits)
+        assert np.array_equal(res.converged, flags)
+
+
+@pytest.mark.parametrize("n_zeros", [200, None])
+def test_decode_raises_no_floating_point_error(n_zeros):
+    # a check whose other inputs sit at the phi floor asks phi of up to
+    # 14 * phi(1e-12), about 396, far past where float32 expm1 overflows
+    code = build_code(16, 8, 2, seed=0)
+    if n_zeros is None:
+        lam = np.zeros(code.n)
+    else:
+        lam = _noisy_llrs(code, 0.8, 0.0, np.random.default_rng(3))
+        lam[:n_zeros] = 0.0
+    with np.errstate(all="raise"):
+        res = decode(code, lam, saturation=60.0)
+    if n_zeros is None:
+        # every check of this code has 7 or more edges, so each message
+        # asks phi of at least 6 * phi(1e-12), past the ceiling: no input
+        # carries anything, no message does, and no position is decoded
+        assert not res.posteriors.any()
+        assert not res.bits.any()
+        assert not res.converged.any()
+
+
+def _reference_gf2_solver(m):
+    # plain uint8 Gauss-Jordan elimination, one byte per entry
+    n_rows, n_cols = m.shape
+    a = (m % 2).astype(np.uint8)
+    t = np.eye(n_rows, dtype=np.uint8)
+    pivots = []
+    r = 0
+    for col in range(n_cols):
+        rows = np.flatnonzero(a[r:, col]) + r
+        if len(rows) == 0:
+            continue
+        if rows[0] != r:
+            a[[r, rows[0]]] = a[[rows[0], r]]
+            t[[r, rows[0]]] = t[[rows[0], r]]
+        hit = np.flatnonzero(a[:, col])
+        hit = hit[hit != r]
+        a[hit] ^= a[r]
+        t[hit] ^= t[r]
+        pivots.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    return t, np.array(pivots, dtype=np.int64), r
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_rows=st.integers(1, 150), n_cols=st.integers(1, 150),
+       density=st.sampled_from([0.02, 0.1, 0.5]), inner=st.none() | st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_rows=128, n_cols=128, density=0.5, inner=None, seed=0)
+@example(n_rows=65, n_cols=64, density=0.1, inner=60, seed=1)
+def test_packed_gf2_solver_matches_plain_elimination(n_rows, n_cols, density, inner, seed):
+    rng = np.random.default_rng(seed)
+    if inner is None:
+        m = (rng.random((n_rows, n_cols)) < density).astype(np.uint8)
+    else:
+        # a product through `inner` dimensions: rank at most inner
+        a = (rng.random((n_rows, inner)) < density).astype(np.int64)
+        b = (rng.random((inner, n_cols)) < density).astype(np.int64)
+        m = ((a @ b) % 2).astype(np.uint8)
+    t, pivots, rank = _gf2_solver(m)
+    t_ref, pivots_ref, rank_ref = _reference_gf2_solver(m)
+    assert rank == rank_ref
+    assert np.array_equal(pivots, pivots_ref)
+    assert t.dtype == np.uint8
+    assert np.array_equal(t, t_ref)
