@@ -11,8 +11,10 @@ i | sent symbol j); chaining hops multiplies matrices in traversal order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,12 +190,42 @@ def nearest_index(y, points: np.ndarray):
     """Index of the closest point in Euclidean distance; ties take the
     lowest index (np.argmin first-hit order).
 
-    Arrays keep a running minimum over the points, so that no y.size by
-    len(points) temporary is built; only a strictly closer point takes over.
+    When the points sit on a uniform rectangular lattice, one to a cell
+    (see _lattice), an array of draws is sliced by rounding each axis to
+    its nearest level, clipped to the lattice: a cell that holds a point
+    holds the nearest point of the whole lattice, so also of the point
+    set.  A draw takes the exact path instead when it lies within
+    _SLICE_GUARD spacings of a decision line on either axis, when its cell
+    is empty (the corners of the 32-cross), when it lies farther than
+    _SLICE_REACH spacings from the lattice, or when it is not finite.  The
+    exact path keeps a running minimum over the points, so that no y.size
+    by len(points) temporary is built; only a strictly closer point takes
+    over.  Both paths return np.argmin's index for every draw, and a point
+    set off a lattice takes the exact path for every draw.
     """
     y = np.asarray(y)
     if y.ndim == 0:
         return int(np.argmin(np.abs(y - points)))
+    lat = _lattice(points)
+    if lat is None:
+        return _running_min_index(y, points)
+    with np.errstate(invalid="ignore", over="ignore"):
+        col, ok = _nearest_level(y.real, lat.re)
+        row, ok_im = _nearest_level(y.imag, lat.im)
+        ok &= ok_im
+        row *= lat.re.levels
+        row += col
+        # a draw that fails a test reads the table's last entry, a -1
+        cell = np.full(y.shape, lat.table.size - 1, dtype=np.intp)
+        np.copyto(cell, row, casting="unsafe", where=ok)
+    idx = lat.table.take(cell)
+    exact = idx < 0
+    if exact.any():
+        idx[exact] = _running_min_index(y[exact], points)
+    return idx
+
+
+def _running_min_index(y: np.ndarray, points: np.ndarray) -> np.ndarray:
     best = np.abs(y - points[0])
     idx = np.zeros(y.shape, dtype=np.intp)
     for k in range(1, len(points)):
@@ -204,18 +236,105 @@ def nearest_index(y, points: np.ndarray):
     return idx
 
 
+# A draw within _SLICE_GUARD spacings of a decision line may round to the
+# wrong side of it.  Farther than _SLICE_REACH smallest spacings from the
+# lattice, the float distances that np.argmin compares can no longer tell
+# apart points whose true distances differ by the guard band, so a wider
+# lattice does not slice either.  A point may sit _LATTICE_TOL spacings
+# from its lattice site, far inside the guard band.
+_SLICE_GUARD = 1e-6
+_SLICE_REACH = 256
+_LATTICE_TOL = 1e-9
+
+
+class _Axis(NamedTuple):
+    origin: float       # the lowest level
+    spacing: float
+    reach: float        # _SLICE_REACH smallest spacings, in this axis's spacings
+    levels: int
+
+
+class _Lattice(NamedTuple):
+    re: _Axis
+    im: _Axis
+    # point index of cell row * cols + col, -1 if empty, and a last -1
+    table: np.ndarray
+
+
+def _nearest_level(v, axis: _Axis):
+    """Index of the nearest level of axis, as floats, and whether v is
+    clear of the guard band, within reach and finite (NaN fails)."""
+    u = np.subtract(v, axis.origin, dtype=np.float64)
+    u /= axis.spacing
+    k = np.rint(u)
+    u -= k
+    ok = np.abs(u, out=u) <= 0.5 - _SLICE_GUARD
+    ok &= np.abs(k) <= axis.reach
+    return np.clip(k, 0, axis.levels - 1, out=k), ok
+
+
+def _lattice(points: np.ndarray) -> _Lattice | None:
+    """The uniform rectangular lattice that holds the points, one to a
+    cell, or None if there is none.  It is built once per point set."""
+    return _lattice_of(np.ascontiguousarray(points, dtype=np.complex128).tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _lattice_of(key: bytes) -> _Lattice | None:
+    points = np.frombuffer(key, dtype=np.complex128)
+    if not np.isfinite(points).all():
+        return None
+    # a lattice that holds M points has spacings of at least span/(M - 1),
+    # so values this close are float noise on one level
+    tol = _LATTICE_TOL * max(np.ptp(points.real), np.ptp(points.imag)) / len(points)
+    cells = _cells(points, tol)
+    if cells is None:
+        return None
+    re, im, col, row = cells
+    if len(re) < 2 or len(im) < 2:
+        return None
+    spacing = [np.ptp(lv) / (len(lv) - 1) for lv in (re, im)]
+    s_min = min(spacing)
+    axes = []
+    for v, lv, k, s in zip((points.real, points.imag), (re, im), (col, row), spacing):
+        if (np.abs(v - (lv[0] + k * s)) > _LATTICE_TOL * s).any():
+            return None
+        if (len(lv) - 1) * s > _SLICE_REACH * s_min:
+            return None
+        axes.append(_Axis(float(lv[0]), float(s), _SLICE_REACH * s_min / s, len(lv)))
+    table = np.full(len(re) * len(im) + 1, -1, dtype=np.intp)
+    table[row * len(re) + col] = np.arange(len(points))
+    return _Lattice(*axes, table)
+
+
+def _axis_levels(v: np.ndarray, tol: float):
+    """Ascending levels of the values v, each value within tol of the one
+    below it joining that value's level, and every value's level index."""
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    step = np.diff(sv) > tol
+    rank = np.empty(len(v), dtype=np.intp)
+    rank[order] = np.concatenate(([0], np.cumsum(step)))
+    return sv[np.concatenate(([True], step))], rank
+
+
+def _cells(points: np.ndarray, tol: float = 0.0):
+    """Level decomposition of a point set: the real and imaginary levels
+    and every point's (col, row) cell, or None if two points share a cell."""
+    re, col = _axis_levels(points.real, tol)
+    im, row = _axis_levels(points.imag, tol)
+    if len(np.unique(row * len(re) + col)) != len(points):
+        return None
+    return re, im, col, row
+
+
 def _rect_grid(c: Constellation):
     """Per-dimension level decomposition, or None if the constellation is
     not a full rectangular grid."""
-    re = np.unique(c.symbols.real)
-    im = np.unique(c.symbols.imag)
-    if len(re) * len(im) != c.order:
+    grid = _cells(c.symbols)
+    if grid is None or len(grid[0]) * len(grid[1]) != c.order:
         return None
-    col = np.searchsorted(re, c.symbols.real)
-    row = np.searchsorted(im, c.symbols.imag)
-    if len(np.unique(row * len(re) + col)) != c.order:
-        return None
-    return re, im, col, row
+    return grid
 
 
 # Rational approximations of the Cephes ndtr.c that scipy.special.ndtr

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ def test_nearest_index_tie_takes_lowest():
 
 
 def _argmin_slicer(y, points):
-    return np.argmin(np.abs(y[:, None] - points[None, :]), axis=1)
+    return np.argmin(np.abs(np.asarray(y)[..., None] - points), axis=-1)
 
 
 def test_nearest_index_matches_argmin_on_exact_ties():
@@ -178,6 +179,133 @@ def test_nearest_index_matches_argmin(name, pts):
     assert np.array_equal(got, _argmin_slicer(y, s))
     if len(y) % 2 == 0:
         assert np.array_equal(nearest_index(y.reshape(2, -1), s), got.reshape(2, -1))
+
+
+def test_nearest_index_handles_nan_and_inf():
+    vals = [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, 0.3]
+    y = np.array([complex(re, im) for re in vals for im in vals])
+    for name in ("qam16", "qam32"):
+        s = build_constellation(name).symbols
+        want = _argmin_slicer(y, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nearest_index(y, s)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, want)
+
+
+_TRANSFORMS = {
+    "none": lambda s: s,
+    "scaled": lambda s: 2.7 * s,
+    "translated": lambda s: s + (0.3 - 1.7j),
+    "rot90": lambda s: 1j * s,
+    "rot45": lambda s: s * np.exp(0.25j * np.pi),
+}
+
+
+def _slicer_points(name, transform):
+    if name == "qam16-jittered":
+        s = build_constellation("qam16").symbols
+        return s + 1e-3 * ([1, 1j] @ np.random.default_rng(0).standard_normal((2, 16)))
+    return _TRANSFORMS[transform](build_constellation(name).symbols)
+
+
+def _slicer_draws(points, rng, n, e):
+    """Draws around the decision lines of the points' own levels, offset by
+    10**-e spacings, inside empty lattice cells, next to pairwise midpoints
+    and anywhere over the lattice."""
+    axes = [np.unique(np.round(v, 9)) for v in (points.real, points.imag)]
+    step = min(np.diff(lv).min() for lv in axes)
+    off = rng.choice([-1.0, 1.0], n) * step * 10.0 ** -e
+
+    def near_line(lv):
+        k = rng.integers(0, len(lv) - 1, n)
+        return (lv[k] + lv[k + 1]) / 2.0 + off
+
+    def anywhere(lv):
+        return rng.uniform(lv[0] - step, lv[-1] + step, n)
+
+    re, im = axes
+    kinds = [near_line(re) + 1j * anywhere(im), anywhere(re) + 1j * near_line(im),
+             near_line(re) + 1j * near_line(im), anywhere(re) + 1j * anywhere(im)]
+    i, j = rng.integers(0, len(points), (2, n))
+    kinds.append((points[i] + points[j]) / 2.0 + off * np.exp(2j * np.pi * rng.random(n)))
+    cr, ci = np.meshgrid(re, im)
+    taken = np.abs(cr.ravel()[:, None] - points).min(axis=1) < 1e-9 * step
+    empty = (cr.ravel() + 1j * ci.ravel())[~taken]
+    if empty.size:
+        kinds.append(empty[rng.integers(0, empty.size, n)]
+                     + step * (rng.random(n) - 0.5 + 1j * (rng.random(n) - 0.5)))
+    y = np.concatenate(kinds)
+    return y[rng.permutation(y.size)[:n]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["qam16", "qam32", "qam16-jittered"]),
+       transform=st.sampled_from(sorted(_TRANSFORMS)),
+       shape=st.sampled_from([(), (1,), (37,), (2, 19), (6, 6)]),
+       e=st.integers(3, 15), seed=st.integers(0, 2**32 - 1))
+def test_lattice_slicer_matches_argmin(name, transform, shape, e, seed):
+    points = _slicer_points(name, transform)
+    assert (channel._lattice(points) is None) == (name == "qam16-jittered")
+    y = _slicer_draws(points, np.random.default_rng(seed), max(math.prod(shape), 1), e)
+    y = y.reshape(shape)
+    got, want = nearest_index(y, points), _argmin_slicer(y, points)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.intp
+    assert np.array_equal(got, want)
+
+
+def _count_exact_draws(monkeypatch):
+    drawn = []
+    running_min = channel._running_min_index
+
+    def counted(y, points):
+        drawn.append(y.size)
+        return running_min(y, points)
+
+    monkeypatch.setattr(channel, "_running_min_index", counted)
+    return drawn
+
+
+def test_off_lattice_points_take_the_exact_path_for_every_draw(monkeypatch):
+    points = _slicer_points("qam16-jittered", "none")
+    drawn = _count_exact_draws(monkeypatch)
+    y = [1, 1j] @ np.random.default_rng(3).standard_normal((2, 500))
+    assert np.array_equal(nearest_index(y, points), _argmin_slicer(y, points))
+    assert drawn == [500]
+
+
+def test_lattice_slicer_sends_only_hard_draws_to_the_exact_path(monkeypatch):
+    s = build_constellation("qam32").symbols
+    drawn = _count_exact_draws(monkeypatch)
+    step = s.real.max() / 2.5
+    corners = np.array([1, 1j, -1, -1j]) * (2.5 + 2.4j) * step
+    lines = np.array([1e-7, 1.0 - 1e-7]) * step + 0.2j * step
+    easy = s + 0.3 * step * np.exp(1j * np.arange(32))
+    y = np.concatenate([easy, corners, lines, [np.nan, 1e10]])
+    assert np.array_equal(nearest_index(y, s), _argmin_slicer(y, s))
+    assert drawn == [8]
+
+
+@pytest.mark.parametrize("name", ["qam16", "qam32"])
+def test_monte_carlo_dmc_counts_match_the_running_minimum(monkeypatch, name):
+    # about 16 dB is where qam32 draws land in the missing corners
+    c = build_constellation(name)
+    running_min = channel._running_min_index
+    drawn = _count_exact_draws(monkeypatch)
+    runs = [(snr_db, seed) for snr_db in (8.0, 16.2, 22.0) for seed in (1, 7)]
+
+    def dmcs():
+        return [transition_matrix(c, 10.0 ** (snr_db / 10.0), method="mc", mc_samples=20_000,
+                                  seed=seed).probs for snr_db, seed in runs]
+
+    fast = dmcs()
+    monkeypatch.setattr(channel, "nearest_index", running_min)
+    for (snr_db, seed), got, want in zip(runs, fast, dmcs()):
+        assert got.tobytes() == want.tobytes(), (snr_db, seed)
+    if name == "qam32":
+        assert sum(drawn) > 1000
 
 
 def test_noiseless_monte_carlo_dmc_draws_nothing(monkeypatch):
