@@ -19,7 +19,6 @@ from .channel import (
 )
 from .constellation import (
     Constellation,
-    bit_level_sets,
     bits_for_indices,
     build_constellation,
     indices_for_bits,
@@ -36,13 +35,11 @@ from .errors import (
     ConfigError,
     NumericalDegeneracyError,
     RelaycmError,
-    UnsupportedMethodError,
 )
 from .gmi import (
     GmiEstimate,
     RelayGmiEvaluator,
     gmi_from_llrs,
-    gmi_with_optimal_scale,
     optimal_llr_scale,
     required_snr2_db,
     single_hop_gmi,
@@ -65,8 +62,6 @@ __all__ = [
     "RelayGmiEvaluator",
     "RelaycmError",
     "SpatiallyCoupledCode",
-    "UnsupportedMethodError",
-    "bit_level_sets",
     "bits_for_indices",
     "build_code",
     "build_constellation",
@@ -74,7 +69,6 @@ __all__ = [
     "decode",
     "design_rate",
     "gmi_from_llrs",
-    "gmi_with_optimal_scale",
     "indices_for_bits",
     "nearest_index",
     "optimal_llr_scale",

@@ -19,10 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .constellation import Constellation
-from .errors import ConfigError, UnsupportedMethodError
+from .errors import ConfigError
 
 NOISELESS_SNR = 1e30          # linear; ~300 dB
-SNR_CAP_DB = 300.0
 COLUMN_SUM_TOL = 1e-9
 _MC_CHUNK = 200_000           # fixed chunk size keeps draws reproducible
 
@@ -54,10 +53,6 @@ class AwgnSegment:
     def __post_init__(self):
         if not self.snr > 0:
             raise ConfigError(f"snr must be positive, got {self.snr!r}")
-
-    @classmethod
-    def from_db(cls, snr_db: float) -> "AwgnSegment":
-        return cls(snr=10.0 ** (min(snr_db, SNR_CAP_DB) / 10.0))
 
     @property
     def noise_var(self) -> float:
@@ -102,24 +97,28 @@ class DmcMatrix:
     def from_csv(cls, path) -> "DmcMatrix":
         meta = {}
         rows = []
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, val = line[1:].partition("=")
-                    meta[key.strip()] = val.strip()
-                    continue
-                rows.append([float(v) for v in line.split(",")])
-        probs = np.array(rows)
-        m = cls(
-            probs=probs,
-            snr_db=float(meta["snr_db"]) if meta.get("snr_db") else None,
-            method=meta.get("method", ANALYTIC),
-            seed=int(meta["seed"]) if meta.get("seed") else None,
-        )
-        if int(meta.get("M", probs.shape[0])) != probs.shape[0]:
+        try:
+            with open(path) as fh:
+                for raw in fh:
+                    line = raw.strip()
+                    if not line:
+                        continue
+                    if line.startswith("#"):
+                        key, _, val = line[1:].partition("=")
+                        meta[key.strip()] = val.strip()
+                        continue
+                    rows.append([float(v) for v in line.split(",")])
+            probs = np.array(rows)
+            m = cls(
+                probs=probs,
+                snr_db=float(meta["snr_db"]) if meta.get("snr_db") else None,
+                method=meta.get("method", ANALYTIC),
+                seed=int(meta["seed"]) if meta.get("seed") else None,
+            )
+            order = int(meta.get("M", probs.shape[0]))
+        except ValueError as exc:
+            raise ConfigError(f"malformed transition matrix file: {exc}") from exc
+        if order != probs.shape[0]:
             raise ConfigError("header order does not match matrix shape")
         m.validate()
         return m
@@ -443,7 +442,7 @@ def transition_matrix(
     if method == ANALYTIC:
         grid = _rect_grid(c)
         if grid is None:
-            raise UnsupportedMethodError(
+            raise ConfigError(
                 "analytic transition probabilities need a rectangular grid; "
                 "use the Monte Carlo method for cross constellations"
             )

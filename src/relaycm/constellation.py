@@ -1,4 +1,4 @@
-"""QAM constellations, bit labelings, and per-level symbol partitions.
+"""QAM constellations and their bit labelings.
 
 Symbol indexing is row-major over the I/Q grid: the imaginary level sweeps
 slowest from most negative upward, the real level fastest.  Labels are bit
@@ -122,37 +122,22 @@ class Constellation:
                 if line.startswith("# constellation:"):
                     name = line.split(":", 1)[1].strip()
                 continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ConfigError(f"malformed constellation row: {raw!r}")
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2]), parts[3]))
+            try:
+                i, re, im, bits = line.split()
+                rows.append((int(i), float(re), float(im), bits))
+            except ValueError as exc:
+                raise ConfigError(f"malformed constellation row: {raw!r}") from exc
         if not rows:
             raise ConfigError("empty constellation table")
         rows.sort(key=lambda r: r[0])
         if [r[0] for r in rows] != list(range(len(rows))):
             raise ConfigError("constellation indices are not 0..M-1")
-        m = len(rows[0][3])
-        symbols = np.array([complex(re, im) for _, re, im, _ in rows])
-        labels = np.array([[int(ch) for ch in bits] for _, _, _, bits in rows], dtype=np.uint8)
-        if labels.shape[1] != m or not set("".join(r[3] for r in rows)) <= {"0", "1"}:
+        bits = [r[3] for r in rows]
+        if len({len(b) for b in bits}) != 1 or not set("".join(bits)) <= {"0", "1"}:
             raise ConfigError("malformed bit labels")
+        symbols = np.array([complex(re, im) for _, re, im, _ in rows])
+        labels = np.array([[int(ch) for ch in b] for b in bits], dtype=np.uint8)
         return cls(name=name, symbols=symbols, labels=labels)
-
-
-@dataclass(eq=False)
-class BitLevelSets:
-    """Index sets splitting the constellation by the value of each bit level.
-
-    ``zero[i]`` holds the symbol indices whose bit level ``i`` (0-based
-    here) is 0, ``one[i]`` the complement.
-    """
-
-    zero: list
-    one: list
-
-    @property
-    def levels(self) -> int:
-        return len(self.zero)
 
 
 def _int_to_bits(value: int, width: int) -> list:
@@ -203,15 +188,6 @@ def build_constellation(fmt: str = QAM16) -> Constellation:
         raise ConfigError(f"unknown constellation format {fmt!r}")
     c.validate()
     return c
-
-
-def bit_level_sets(c: Constellation) -> BitLevelSets:
-    """Partition symbol indices by the value at each bit level."""
-    zero, one = [], []
-    for i in range(c.bits_per_symbol):
-        zero.append(np.flatnonzero(c.labels[:, i] == 0))
-        one.append(np.flatnonzero(c.labels[:, i] == 1))
-    return BitLevelSets(zero=zero, one=one)
 
 
 def indices_for_bits(c: Constellation, bits) -> np.ndarray:

@@ -115,10 +115,6 @@ class Container:
         """Codeword of the current payload; unwritten slots stay zero."""
         return self.code.encode(self.payload)
 
-    def read(self, owner) -> np.ndarray:
-        slots = self.source_slots if owner == SOURCE else self.relay_slots
-        return self.payload[slots].copy()
-
     def to_bytes(self, config_hash: str = "") -> bytes:
         """Self-contained frame: header, relay mask, occupancy, payload."""
         mask = np.zeros(self.code.k, dtype=np.uint8)
@@ -137,26 +133,29 @@ class Container:
         """Rebuild a container; returns (container, config_hash)."""
         if data[:5] != _MAGIC:
             raise ConfigError("not a container frame")
-        k, fraction, n_strat = struct.unpack_from("<IdH", data, 5)
-        if k != code.k:
-            raise ConfigError(f"frame is for k={k}, code has k={code.k}")
-        off = 5 + struct.calcsize("<IdH")
-        strategy = data[off:off + n_strat].decode()
-        off += n_strat
-        (n_hash,) = struct.unpack_from("<H", data, off)
-        off += 2
-        config_hash = data[off:off + n_hash].decode()
-        off += n_hash
-        n_packed = (k + 7) // 8
-        mask = np.unpackbits(
-            np.frombuffer(data, dtype=np.uint8, count=n_packed, offset=off)
-        )[:k]
-        off += n_packed
-        occupancy = np.frombuffer(data, dtype=np.uint8, count=k, offset=off).copy()
-        off += k
-        payload = np.unpackbits(
-            np.frombuffer(data, dtype=np.uint8, count=n_packed, offset=off)
-        )[:k]
+        try:
+            k, fraction, n_strat = struct.unpack_from("<IdH", data, 5)
+            if k != code.k:
+                raise ConfigError(f"frame is for k={k}, code has k={code.k}")
+            off = 5 + struct.calcsize("<IdH")
+            strategy = data[off:off + n_strat].decode()
+            off += n_strat
+            (n_hash,) = struct.unpack_from("<H", data, off)
+            off += 2
+            config_hash = data[off:off + n_hash].decode()
+            off += n_hash
+            n_packed = (k + 7) // 8
+            mask = np.unpackbits(
+                np.frombuffer(data, dtype=np.uint8, count=n_packed, offset=off)
+            )[:k]
+            off += n_packed
+            occupancy = np.frombuffer(data, dtype=np.uint8, count=k, offset=off).copy()
+            off += k
+            payload = np.unpackbits(
+                np.frombuffer(data, dtype=np.uint8, count=n_packed, offset=off)
+            )[:k]
+        except (struct.error, ValueError) as exc:
+            raise ConfigError(f"container frame is truncated or corrupt: {exc}") from exc
         cont = cls(code, np.flatnonzero(mask), fraction, strategy)
         cont.occupancy = occupancy
         cont.payload = payload.astype(np.uint8)

@@ -34,7 +34,6 @@ class Demapper:
     constellation: Constellation
     noise_var: float
     transition: DmcMatrix | None = None
-    clip: float = LLR_CLIP
 
     def __post_init__(self):
         if not self.noise_var > 0:
@@ -79,12 +78,7 @@ class Demapper:
             )
         with np.errstate(divide="ignore"):
             out = np.log(p0) - np.log(p1)
-        return np.clip(out, -self.clip, self.clip)
-
-
-def hard_bits(llrs: np.ndarray) -> np.ndarray:
-    """Threshold LLRs to bits; exact zeros decide bit 0."""
-    return (np.asarray(llrs) < 0).astype(np.uint8)
+        return np.clip(out, -LLR_CLIP, LLR_CLIP)
 
 
 def save_llrs_csv(path, llrs: np.ndarray) -> None:
@@ -99,17 +93,20 @@ def save_llrs_csv(path, llrs: np.ndarray) -> None:
 def load_llrs_csv(path) -> np.ndarray:
     rows = []
     shape = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                fields = dict(kv.split("=") for kv in line[1:].split())
-                shape = (int(fields["rows"]), int(fields["bits"]))
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    out = np.array(rows)
+    try:
+        with open(path) as fh:
+            for raw in fh:
+                line = raw.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    fields = dict(kv.split("=") for kv in line[1:].split())
+                    shape = (int(fields["rows"]), int(fields["bits"]))
+                    continue
+                rows.append([float(v) for v in line.split(",")])
+        out = np.array(rows)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"malformed LLR file: {exc}") from exc
     if shape is not None and out.shape != shape:
         raise ConfigError("LLR file header does not match its body")
     return out
@@ -130,8 +127,11 @@ def load_llrs_bin(path) -> np.ndarray:
         magic = fh.read(4)
         if magic != _BIN_MAGIC:
             raise ConfigError("not an LLR binary file")
-        n, m = np.frombuffer(fh.read(8), dtype="<u4")
-        data = np.frombuffer(fh.read(int(n) * int(m) * 8), dtype="<f8")
+        try:
+            n, m = np.frombuffer(fh.read(8), dtype="<u4")
+            data = np.frombuffer(fh.read(int(n) * int(m) * 8), dtype="<f8")
+        except ValueError as exc:
+            raise ConfigError(f"LLR binary file is truncated: {exc}") from exc
     if data.size != int(n) * int(m):
         raise ConfigError("LLR binary file is truncated")
     return data.reshape(int(n), int(m)).astype(np.float64)

@@ -13,11 +13,6 @@ class ConfigError(RelaycmError):
     """Invalid configuration: bad enum value, malformed file, unusable parameter combination."""
 
 
-class UnsupportedMethodError(RelaycmError):
-    """A method was requested for an input it cannot handle (e.g. closed-form
-    transition probabilities for a non-rectangular constellation)."""
-
-
 class NumericalDegeneracyError(RelaycmError):
     """A computation lost all probability mass and no finite answer exists."""
 

@@ -209,12 +209,6 @@ def relay_llrs(c: Constellation, y2: np.ndarray, snr1: float, snr2: float, varia
     return Demapper.conventional(c, snr2).llrs(y2)
 
 
-def gmi_with_optimal_scale(llrs: np.ndarray, bits: np.ndarray):
-    """Rate after per-batch scalar rescaling; returns (estimate, scaling)."""
-    res = optimal_llr_scale(llrs, bits)
-    return _estimate(res.bit_losses), res
-
-
 def decodability_margin(c: Constellation, value: float, rate: float) -> float:
     """Rate value (bits per symbol) minus what a code of the given rate
     carries on c: positive means the codeword is inside the rate region."""
@@ -284,7 +278,8 @@ class RelayGmiEvaluator:
         """Rate of traffic that crosses both hops, under this variant."""
         llrs = relay_llrs(self.c, self._receive(snr2), self.snr1, snr2, self.variant, self.dmc)
         if self.variant == HD_LEGACY_SOPT:
-            return gmi_with_optimal_scale(llrs, self.bits)[0]
+            # the relay-blind receiver's rate after its best scalar rescaling
+            return _estimate(optimal_llr_scale(llrs, self.bits).bit_losses)
         return gmi_from_llrs(llrs, self.bits)
 
     def single_hop_gmi(self, snr2: float) -> GmiEstimate:

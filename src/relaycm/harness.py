@@ -123,12 +123,12 @@ def _parse_value(kind, raw, where):
                 return [float(v) for v in np.linspace(float(a), float(b), n)]
             return [float(s) for s in raw.split(",") if s.strip()]
         if kind == "intgrid":
-            # start:stop[:step] inclusive, or a comma list
+            # start:stop[:step], stop included whatever the step's sign, or a comma list
             if ":" in raw:
                 parts = [int(p) for p in raw.split(":")]
                 a, b = parts[0], parts[1]
                 step = parts[2] if len(parts) > 2 else 1
-                return list(range(a, b + 1, step))
+                return list(range(a, b + (1 if step > 0 else -1), step))
             return [int(s) for s in raw.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad value for {where}: {raw!r} ({exc})") from exc

@@ -35,14 +35,9 @@ encoding and the syndrome stay exact integer work.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .errors import ConfigError
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 DEFAULT_DV = 3
 DEFAULT_DC = 15
@@ -248,36 +243,25 @@ class SpatiallyCoupledCode:
                         minlength=self.n_checks)
         return s.astype(np.int64) % 2
 
-    def h_sparse(self) -> sp.csr_matrix:
-        """Parity check matrix as scipy sparse CSR, entries in {0, 1}."""
-        import scipy.sparse as sp  # deferred: only this method needs scipy
-
-        data = np.ones(len(self._edge_var), dtype=np.uint8)
-        return sp.csr_matrix(
-            (data, (self._edge_check, self._edge_var)),
-            shape=(self.n_checks, self.n),
-        )
-
     def to_alist(self) -> str:
         """Standard alist text: dimensions, max degrees, per-node degree
-        lists, then 1-based neighbor lists padded with zeros."""
-        h = self.h_sparse().tocsc()
-        col_deg = np.diff(h.indptr)
-        hr = h.tocsr()
-        row_deg = np.diff(hr.indptr)
-        dmax_c, dmax_r = col_deg.max(), row_deg.max()
+        lists, then 1-based neighbor lists padded with zeros.
+
+        The lists are read off the decoder's slot layout, whose edges
+        run in ascending order on both sides.
+        """
+        slot_var, var_slot = self._slot_layout()
+        var_nbr = var_slot.T % self.n_checks + 1
+        # the pad sentinel n becomes the alist's 0
+        chk_nbr = np.where(slot_var == self.n, -1, slot_var).T + 1
         lines = [
             f"{self.n} {self.n_checks}",
-            f"{dmax_c} {dmax_r}",
-            " ".join(str(d) for d in col_deg),
-            " ".join(str(d) for d in row_deg),
+            f"{self.dv} {len(slot_var)}",
+            " ".join([str(self.dv)] * self.n),
+            " ".join(map(str, np.diff(self._check_ptr).tolist())),
         ]
-        for j in range(self.n):
-            nbr = (h.indices[h.indptr[j]:h.indptr[j + 1]] + 1).tolist()
-            lines.append(" ".join(str(v) for v in nbr + [0] * (dmax_c - len(nbr))))
-        for i in range(self.n_checks):
-            nbr = (hr.indices[hr.indptr[i]:hr.indptr[i + 1]] + 1).tolist()
-            lines.append(" ".join(str(v) for v in nbr + [0] * (dmax_r - len(nbr))))
+        lines += [" ".join(map(str, nbr)) for nbr in var_nbr.tolist()]
+        lines += [" ".join(map(str, nbr)) for nbr in chk_nbr.tolist()]
         return "\n".join(lines) + "\n"
 
 

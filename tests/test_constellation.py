@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from relaycm.constellation import (
-    BitLevelSets,
     Constellation,
-    bit_level_sets,
     bits_for_indices,
     build_constellation,
     indices_for_bits,
@@ -19,6 +17,8 @@ def test_qam16_basic_shape():
     assert c.bits_per_symbol == 4
     assert abs(c.mean_energy() - 1.0) < 1e-12
     assert len(set(c.label_ints().tolist())) == 16
+    # every bit level is 0 on half the points
+    assert (c.labels.sum(axis=0) == 8).all()
 
 
 def test_qam16_is_scaled_integer_grid():
@@ -50,6 +50,8 @@ def test_qam32_basic_shape():
     assert c.bits_per_symbol == 5
     assert abs(c.mean_energy() - 1.0) < 1e-12
     assert len(set(c.label_ints().tolist())) == 32
+    # every bit level is 0 on half the points
+    assert (c.labels.sum(axis=0) == 16).all()
 
 
 def test_qam32_is_cross_without_corners():
@@ -66,19 +68,6 @@ def test_index_of_label_inverts_labels():
         c = build_constellation(name)
         lut = c.index_of_label()
         assert np.array_equal(lut[c.label_ints()], np.arange(c.order))
-
-
-def test_bit_level_sets_partition():
-    for name in ("qam16", "qam32"):
-        c = build_constellation(name)
-        sets = bit_level_sets(c)
-        assert isinstance(sets, BitLevelSets)
-        assert sets.levels == c.bits_per_symbol
-        for lev in range(sets.levels):
-            z, o = set(sets.zero[lev].tolist()), set(sets.one[lev].tolist())
-            assert z | o == set(range(c.order))
-            assert not z & o
-            assert len(z) == c.order // 2
 
 
 def test_indices_for_bits_round_trip():

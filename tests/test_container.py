@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from relaycm.container import (
     BLOCKED,
     INTERLEAVED,
-    RELAY,
-    SOURCE,
     SPREAD_POSITIONS,
     STRATEGIES,
     Container,
@@ -104,8 +102,8 @@ def test_read_returns_what_was_written():
     ur = rng.integers(0, 2, len(cont.relay_slots), dtype=np.uint8)
     cont.write_source(us)
     cont.write_relay(ur)
-    np.testing.assert_array_equal(cont.read(SOURCE), us)
-    np.testing.assert_array_equal(cont.read(RELAY), ur)
+    np.testing.assert_array_equal(cont.payload[cont.source_slots], us)
+    np.testing.assert_array_equal(cont.payload[cont.relay_slots], ur)
 
 
 @st.composite

@@ -22,7 +22,6 @@ from relaycm.errors import ConfigError
 from relaycm.gmi import (
     RelayGmiEvaluator,
     gmi_from_llrs,
-    gmi_with_optimal_scale,
     optimal_llr_scale,
     relay_forward,
     relay_llrs,
@@ -126,9 +125,8 @@ def test_matched_llrs_need_no_rescaling():
 
     doubled = optimal_llr_scale(2.0 * llrs, bits)
     assert doubled.scale == pytest.approx(res.scale / 2.0, abs=0.03)
-    est2, used = gmi_with_optimal_scale(2.0 * llrs, bits)
-    assert est2.value == pytest.approx(rng_est.value, abs=1e-3)
-    assert used.loss <= float(np.logaddexp(0, -(1 - 2 * bits) * 2.0 * llrs).mean()) * 4 / np.log(2) + 1e-12
+    assert 4 - doubled.loss == pytest.approx(rng_est.value, abs=1e-3)
+    assert doubled.loss <= float(np.logaddexp(0, -(1 - 2 * bits) * 2.0 * llrs).mean()) * 4 / np.log(2) + 1e-12
 
 
 def test_degenerate_scale_flagged():
@@ -455,7 +453,8 @@ def test_step_off_the_bracket_falls_back():
 def test_scaled_rate_ignores_llr_magnitude(llrs, bits):
     llrs = np.array(llrs)
     bits = np.array(bits, dtype=np.uint8)
-    rates = [gmi_with_optimal_scale(c * llrs, bits)[0].value for c in (1e-11, 1e-3, 1.0, 1e3)]
+    rates = [llrs.shape[1] - optimal_llr_scale(c * llrs, bits).loss
+             for c in (1e-11, 1e-3, 1.0, 1e3)]
     assert rates[0] > 0.0
     np.testing.assert_allclose(rates, rates[0], rtol=0.0, atol=1e-9)
 
@@ -467,8 +466,6 @@ def test_separable_metrics_reach_zero_loss_at_finite_scale():
     assert np.isfinite(res.scale) and res.scale > 0.0
     assert res.loss == 0.0
     assert not res.degenerate
-    est, _ = gmi_with_optimal_scale(llrs, bits)
-    assert est.value == 2.0
 
 
 def test_anti_informative_metrics_scale_to_zero():

@@ -52,6 +52,9 @@ def test_grid_syntax(tmp_path):
     assert cfg["sweep"]["f"] == [0.0, 0.5]
     cfg = load_config(_write(tmp_path / "b.ini", "[sweep]\nsnr1_db = 15.5,18\n"))
     assert cfg["sweep"]["snr1_db"] == [15.5, 18.0]
+    # the end of an integer range is included whatever the step's sign
+    cfg = load_config(_write(tmp_path / "c.ini", "[sweep]\nspans1 = 10:0:-2\n"))
+    assert cfg["sweep"]["spans1"] == [10, 8, 6, 4, 2, 0]
 
 
 def test_rejects_unknown_and_malformed(tmp_path):
@@ -153,6 +156,11 @@ def test_main_error_paths(tmp_path):
     assert main(["coded-contour", "--config", str(bad_code),
                  "--out", str(tmp_path / "o3")]) == 2
     assert not list((tmp_path / "o3").iterdir())
+    # the 32-cross has no analytic transition matrix, and analytic is the
+    # default method
+    cross = _write(tmp_path / "x.ini", "[link]\nconstellation = qam32\n"
+                   "[sweep]\nsnr1_db = 17\nn_symbols = 200\n")
+    assert main(["snr-region", "--config", str(cross), "--out", str(tmp_path / "o4")]) == 2
 
 
 _SMALL_REGION = """

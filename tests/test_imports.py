@@ -7,8 +7,9 @@ import relaycm
 
 
 def test_harness_import_leaves_slow_scipy_modules_unloaded():
-    # scipy.special, scipy.sparse and scipy.optimize are imported where
-    # they are used, so the CLI and every pool worker start without them
+    # scipy.special and scipy.optimize are imported where they are used,
+    # and the package never imports scipy.sparse, so the CLI and every
+    # pool worker start without them
     probe = ("import sys, relaycm.harness; "
              "print(' '.join(m for m in ('scipy.special', 'scipy.sparse', 'scipy.optimize') "
              "if m in sys.modules))")
@@ -41,3 +42,19 @@ def test_analytic_dmc_sweep_never_loads_scipy_special(tmp_path):
                           str(tmp_path / "sweep.ini")],
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_alist_export_leaves_scipy_sparse_unloaded():
+    # the alist is read off the decoder's slot layout, not a sparse matrix
+    probe = ("import sys; from relaycm.scldpc import build_code; "
+             "build_code(8, 4, 2).to_alist(); print('scipy.sparse' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(relaycm.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in relaycm.__all__ if not hasattr(relaycm, name)]
+    assert missing == []
+    assert len(set(relaycm.__all__)) == len(relaycm.__all__)

@@ -1,3 +1,4 @@
+import hashlib
 from functools import lru_cache
 
 import numpy as np
@@ -118,14 +119,31 @@ def test_matched_rate_pair_across_coupling_widths():
     assert not w3.syndrome(w3.encode(u)).any()
 
 
+def _dense_h(code):
+    # column j of H is the syndrome of the unit word e_j
+    eye = np.eye(code.n, dtype=np.uint8)
+    return np.stack([code.syndrome(e) for e in eye], axis=1).astype(np.uint8)
+
+
+def _alist_h(text):
+    # parity-check matrix from the variable-side lists of an alist file
+    n, m = map(int, text[0].split())
+    h = np.zeros((m, n), dtype=np.uint8)
+    for j in range(n):
+        for v in map(int, text[4 + j].split()):
+            if v:
+                h[v - 1, j] = 1
+    return h
+
+
 def test_sparse_matrix_matches_syndrome():
     code = build_code(8, 6, 2, seed=2)
-    h = code.h_sparse()
+    h = _alist_h(code.to_alist().splitlines())
     assert h.shape == (code.n_checks, code.n)
     x = np.random.default_rng(0).integers(0, 2, code.n, dtype=np.uint8)
-    np.testing.assert_array_equal((h @ x) % 2, code.syndrome(x))
+    np.testing.assert_array_equal((h.astype(np.int64) @ x) % 2, code.syndrome(x))
     # column weights are the variable degree throughout
-    np.testing.assert_array_equal(np.diff(h.tocsc().indptr), 3)
+    np.testing.assert_array_equal(h.sum(axis=0), 3)
 
 
 def test_alist_round_trip():
@@ -139,16 +157,25 @@ def test_alist_round_trip():
     assert col_deg == [3] * code.n
     assert sum(col_deg) == sum(row_deg)
     assert dmax_r == max(row_deg)
-    h = np.zeros((m, n), dtype=np.uint8)
-    for j in range(n):
-        for v in map(int, text[4 + j].split()):
-            if v:
-                h[v - 1, j] = 1
-    np.testing.assert_array_equal(h, code.h_sparse().toarray())
-    # check-side lists agree with the matrix too
+    h = _alist_h(text)
+    np.testing.assert_array_equal(h, _dense_h(code))
+    # check-side lists agree with the matrix too, ascending, zeros last
     for i in range(m):
-        nbr = sorted(v - 1 for v in map(int, text[4 + n + i].split()) if v)
-        assert nbr == list(np.flatnonzero(h[i]))
+        nbr = [int(v) for v in text[4 + n + i].split()]
+        assert nbr == [j + 1 for j in np.flatnonzero(h[i])] + [0] * (dmax_r - row_deg[i])
+    # variable-side lists are ascending too
+    for j in range(n):
+        assert text[4 + j].split() == [str(i + 1) for i in np.flatnonzero(h[:, j])]
+
+
+@pytest.mark.parametrize("shape, digest", [
+    ((8, 4, 2, 0), "71ceb84f83f5ac1a"),
+    ((64, 16, 3, 1), "a6969d498299b21b"),
+])
+def test_alist_bytes_are_pinned(shape, digest):
+    q, chain_len, coupling, seed = shape
+    text = build_code(q, chain_len, coupling, seed=seed).to_alist()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_decode_clean_word_is_a_fixed_point():
