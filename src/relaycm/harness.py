@@ -314,13 +314,17 @@ def _coded_words(t, code, c, snr1):
     return words
 
 
-def _coded_ber(t, code, c, dmc, snr1, words, snr2):
+def _coded_ber(t, code, c, dmc, snr1, words, bounds, snr2):
     """Info-bit error rate of the words of _coded_words at snr2.
 
-    Decoding stops once the errors counted so far put the rate above
+    bounds splits code.info_vars by position: those of position p are
+    info_vars[bounds[p]:bounds[p + 1]].  Decoding counts the errors of
+    each position as the decoder commits it and stops, mid-word, at the
+    first position where the errors so far put the rate above
     ber_target: the margin cannot recover from there, and the bisection
     reads only its sign.  A failing probe thus returns a lower bound; a
-    passing one always decodes every word.
+    passing one always decodes every word in full, and its count is the
+    same integer a whole-word count gives.
     """
     cc = t["cfg"]["code"]
     total = cc["n_codewords"] * code.k
@@ -331,9 +335,15 @@ def _coded_ber(t, code, c, dmc, snr1, words, snr2):
         if len(cont.relay_slots):
             # relay-injected positions only crossed hop 2
             lam = select_llrs(cont, lam, Demapper.conventional(c, snr2).llrs(y2).ravel())
-        res = decode(code, lam, window=cc["window"], iterations=cc["iterations"],
-                     saturation=cc["saturation"])
-        errors += int(np.count_nonzero(res.info_bits(code) != cont.payload))
+
+        def failed(pos, bits):
+            nonlocal errors
+            lo, hi = bounds[pos], bounds[pos + 1]
+            errors += int(np.count_nonzero(bits[code.info_vars[lo:hi]] != cont.payload[lo:hi]))
+            return cc["ber_target"] - errors / total < 0
+
+        decode(code, lam, window=cc["window"], iterations=cc["iterations"],
+               saturation=cc["saturation"], stop=failed)
         if cc["ber_target"] - errors / total < 0:
             break
     return errors / total
@@ -347,10 +357,11 @@ def _coded_task(t):
     dmc = None if t["variant"] == SCALE_RELAY else transition_matrix(
         c, snr1, method=sweep["dmc_method"], mc_samples=sweep["dmc_samples"], seed=t["seed"])
     words = _coded_words(t, code, c, snr1)
+    bounds = np.searchsorted(code.info_vars, np.arange(code.chain_len + 1) * code.dc * code.q)
     bers = {}
 
     def margin(db):
-        bers[db] = _coded_ber(t, code, c, dmc, snr1, words, 10.0 ** (db / 10.0))
+        bers[db] = _coded_ber(t, code, c, dmc, snr1, words, bounds, 10.0 ** (db / 10.0))
         return cc["ber_target"] - bers[db]
 
     # bisection, not the continuous search: the BER moves in steps, and a

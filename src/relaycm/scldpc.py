@@ -29,8 +29,10 @@ step re-derives its edges.  Every check and variable sum adds its terms
 one at a time in check-sorted edge order, so the window and the layout
 do not change a single bit of the result.  Decoding runs in float32: the
 check-node function is computed as log1p(2 / expm1(x)), which keeps its
-tail in float32 where -ln tanh(x/2) would round it to zero.  Building,
-encoding and the syndrome stay exact integer work.
+tail in float32 where -ln tanh(x/2) would round it to zero.  A caller
+may watch each position as it is committed and end the word there; the
+positions already committed keep every bit, since no later step revisits
+them.  Building, encoding and the syndrome stay exact integer work.
 """
 
 from __future__ import annotations
@@ -344,7 +346,10 @@ def build_code(q: int, chain_len: int, coupling: int, seed: int = 0,
 
 class DecodeResult:
     """Hard output word, per-position convergence flags, and the float32
-    posterior LLR of every variable at the step that committed it."""
+    posterior LLR of every variable at the step that committed it.
+
+    A word that a stop callback ended holds 0 in bits and posteriors past
+    the stopping position, and reports no position converged."""
 
     def __init__(self, bits, converged, iterations, posteriors):
         self.bits = bits
@@ -371,7 +376,7 @@ def _phi(x, out):
 
 
 def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
-           iterations: int = 20, saturation: float = 25.0) -> DecodeResult:
+           iterations: int = 20, saturation: float = 25.0, stop=None) -> DecodeResult:
     """Sliding-window sum-product decoding of one codeword.
 
     llrs follow the positive-means-zero convention.  The window spans
@@ -380,6 +385,12 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
     satisfied, then commits the oldest position.  A position's flag
     reports whether every check touching it holds for the final word and
     its committed posteriors were all nonzero.
+
+    When given, stop(t, bits) is called after position t is committed,
+    with the hard word so far (0 past t).  A true return ends decoding
+    there: `iterations` counts the iterations that ran, bits and
+    posteriors past t stay 0, and no position is flagged converged.
+    Committed positions match the full decode bit for bit.
 
     Messages live on the code's cached slot layout (see
     SpatiallyCoupledCode._slot_layout).  A step is a column slice of it,
@@ -401,6 +412,7 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
     n, span, n_slots = code.n, dc * q, slot_var.shape[0]
     # index n is the pad sentinel: its hard bit stays 0
     hard = np.zeros(n + 1, dtype=np.uint8)
+    bits = hard[:n]
     post = np.zeros(n + 1, dtype=np.float32)
     # check-to-variable messages on the whole layout.  Columns past a
     # step's window are still zero, so a variable's edges to checks the
@@ -416,7 +428,7 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
     chk_f32 = np.empty(max_chk, dtype=np.float32)
     var_msgs = np.empty(dv * max_var, dtype=np.float32)
     var_f32 = np.empty(max_var, dtype=np.float32)
-    llr = np.empty(n, dtype=np.float32)
+    llr = np.zeros(n, dtype=np.float32)
     total_iter = 0
     for t0 in range(L):
         c_hi = min(t0 + win, L + w - 1)
@@ -483,11 +495,13 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
                 break
         llr[v0:v0 + span] = post[v0:v0 + span]
         np.less(llr[v0:v0 + span], 0.0, out=hard[v0:v0 + span])
-    hard = hard[:n]
+        if stop is not None and stop(t0, bits):
+            return DecodeResult(bits=bits, converged=np.zeros(L, dtype=bool),
+                                iterations=total_iter, posteriors=llr)
     min_abs = np.abs(llr).reshape(L, span).min(axis=1)
-    syn = code.syndrome(hard)
+    syn = code.syndrome(bits)
     clean = syn.reshape(L + w - 1, dv * q).sum(axis=1) == 0
     flags = np.empty(L, dtype=bool)
     for t in range(L):
         flags[t] = bool(clean[t:min(t + w, L + w - 1)].all()) and min_abs[t] > 0.0
-    return DecodeResult(bits=hard, converged=flags, iterations=total_iter, posteriors=llr)
+    return DecodeResult(bits=bits, converged=flags, iterations=total_iter, posteriors=llr)

@@ -1,7 +1,6 @@
 import configparser
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -361,8 +360,10 @@ def test_coded_sweep_writes_one_csv_per_variant(tmp_path):
 # re-encodes and decodes every word, and the row evaluates the answer
 # once more.
 def _reference_coded_ber(t, code, c, dmc, snr1, snr2):
+    """(info-bit error rate, decoding iterations) of every word decoded
+    in full."""
     cc, seed, variant = t["cfg"]["code"], t["seed"], t["variant"]
-    errors = 0
+    errors = iterations = 0
     for j in range(cc["n_codewords"]):
         cont = plan_container(code, t["f"], t["strategy"])
         rng_bits = derived_rng(seed, j, 0)
@@ -384,7 +385,8 @@ def _reference_coded_ber(t, code, c, dmc, snr1, snr2):
         res = decode(code, lam, window=cc["window"], iterations=cc["iterations"],
                      saturation=cc["saturation"])
         errors += int(np.count_nonzero(res.info_bits(code) != cont.payload))
-    return errors / (cc["n_codewords"] * code.k)
+        iterations += res.iterations
+    return errors / (cc["n_codewords"] * code.k), iterations
 
 
 def _reference_coded_point(t):
@@ -396,20 +398,20 @@ def _reference_coded_point(t):
         c, snr1, method=sweep["dmc_method"], mc_samples=sweep["dmc_samples"], seed=t["seed"])
     cont = plan_container(code, t["f"], t["strategy"])
 
-    def ber(db):
+    def full(db):
         return _reference_coded_ber(t, code, c, dmc, snr1, 10.0 ** (db / 10.0))
 
     searched = []
 
     def margin(db):
         searched.append(db)
-        return cc["ber_target"] - ber(db)
+        return cc["ber_target"] - full(db)[0]
 
     req = required_snr2_db(margin, sweep["snr2_lo_db"], sweep["snr2_hi_db"], cc["tol_db"])
     row = {"x": t["x"], "realized_f": cont.realized_fraction}
     if not math.isinf(req):
-        row.update(y=req, ber=ber(req))
-    return row, ber, searched
+        row.update(y=req, ber=full(req)[0])
+    return row, full, searched
 
 
 def _log_probes(m):
@@ -450,12 +452,14 @@ n_codewords = {n_codewords}
 ber_target = {ber_target!r}
 tol_db = 0.5
 """, seed=seed, x=x, variant=variant, coupling=2, strategy=strategy, f=f)
-    want, full_ber, searched = _reference_coded_point(t)
+    want, full, searched = _reference_coded_point(t)
     decodes = []
 
     def counted_decode(*args, **kwargs):
-        decodes.append(1)
-        return decode(*args, **kwargs)
+        res = decode(*args, **kwargs)
+        # the probe log grows as each probe returns: this decode's probe
+        decodes.append((len(probes), res.iterations))
+        return res
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(harness, "decode", counted_decode)
@@ -467,12 +471,47 @@ tol_db = 0.5
     # a coded point keeps plain bisection: an early exit changes no sign
     assert dbs == searched
     assert len(decodes) <= n_codewords * len(dbs)
-    for db, margin in probes:
-        full = ber_target - full_ber(db)
+    for i, (db, margin) in enumerate(probes):
+        full_ber, full_iterations = full(db)
+        iterations = sum(n for probe, n in decodes if probe == i)
         if margin >= 0.0:
-            assert margin == full
+            assert margin == ber_target - full_ber
+            assert iterations == full_iterations
         else:
-            assert full <= margin < 0.0
+            assert ber_target - full_ber <= margin < 0.0
+            assert iterations <= full_iterations
+
+
+def test_hopeless_coded_probe_stops_after_the_first_position(tmp_path, monkeypatch):
+    t = _task(tmp_path, """
+[code]
+q = 8
+chain_len = 6
+n_codewords = 3
+""", seed=5, x=16.0, variant="hd_matched", coupling=2, strategy="interleaved", f=0.5)
+    cc = t["cfg"]["code"]
+    code = harness._cached_code(cc["q"], cc["chain_len"], t["coupling"], cc["seed"])
+    c = build_constellation("qam16")
+    snr1 = 10.0 ** 1.6
+    dmc = transition_matrix(c, snr1, seed=t["seed"])
+    words = harness._coded_words(t, code, c, snr1)
+    bounds = np.searchsorted(code.info_vars, np.arange(code.chain_len + 1) * code.dc * code.q)
+    positions, results = [], []
+
+    def watched_decode(*args, stop, **kwargs):
+        def watched(pos, bits):
+            positions.append(pos)
+            return stop(pos, bits)
+        results.append(decode(*args, stop=watched, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "decode", watched_decode)
+    ber = harness._coded_ber(t, code, c, dmc, snr1, words, bounds, 10.0 ** -0.2)
+    assert ber > cc["ber_target"]
+    # the first word's first position already breaks the target
+    assert positions == [0]
+    assert len(results) == 1
+    assert results[0].iterations <= cc["iterations"]
 
 
 def test_rate_points_evaluate_each_snr2_once(tmp_path, monkeypatch):

@@ -7,8 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaycm.errors import ConfigError
-from relaycm.scldpc import (DEFAULT_DC, SpatiallyCoupledCode, _gf2_solver, _phi, build_code,
-                            decode, design_rate)
+from relaycm.scldpc import DEFAULT_DC, _gf2_solver, _phi, build_code, decode, design_rate
 
 
 def test_design_rate_arithmetic():
@@ -350,6 +349,47 @@ def test_cached_layout_serves_every_window():
     lam = _noisy_llrs(code, 0.8, 0.02, np.random.default_rng(4))
     for window in (4, 10, 4):
         _assert_matches_reference(code, lam, window=window, iterations=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_decode_cases(), snr_db=st.floats(-1.0, 6.0), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_stop_truncates_the_full_decode(case, snr_db, seed, data):
+    q, chain_len, w, window = case
+    code = _shared_code(q, chain_len, w)
+    sigma = 10.0 ** (-snr_db / 20.0)
+    lam = _noisy_llrs(code, sigma, 0.0, np.random.default_rng(seed))
+    full = decode(code, lam, window=window)
+    span = code.dc * code.q
+
+    seen = []
+
+    def watch(t, bits):
+        # each call sees the committed positions of the full decode, 0 after
+        cut = (t + 1) * span
+        assert np.array_equal(bits[:cut], full.bits[:cut]) and not bits[cut:].any()
+        seen.append(t)
+        return False
+
+    never = decode(code, lam, window=window, stop=watch)
+    assert seen == list(range(chain_len))
+    assert np.array_equal(never.bits, full.bits)
+    assert np.array_equal(never.posteriors, full.posteriors)
+    assert np.array_equal(never.converged, full.converged)
+    assert never.iterations == full.iterations
+
+    p = data.draw(st.integers(0, chain_len - 1), label="stop position")
+    seen.clear()
+    stopped = decode(code, lam, window=window, stop=lambda t, bits: seen.append(t) or t == p)
+    assert seen == list(range(p + 1))
+    cut = (p + 1) * span
+    assert np.array_equal(stopped.bits[:cut], full.bits[:cut]) and not stopped.bits[cut:].any()
+    assert np.array_equal(stopped.posteriors[:cut], full.posteriors[:cut])
+    assert not stopped.posteriors[cut:].any()
+    assert not stopped.converged.any()
+    assert stopped.iterations <= full.iterations
+    if p == chain_len - 1:
+        assert stopped.iterations == full.iterations
 
 
 def test_phi_keeps_its_float32_tail():

@@ -8,12 +8,15 @@ Run from the root of a checkout:
 A workload runs at the seeds after its colon, or else at ``--seeds``.
 
 The parent revision is unpacked with ``git archive`` into ``.bench_build/``,
-and so is ``--change`` when given; without it the change side is this
-working tree.  For every workload and seed, ``perfbench/run.py --trace 0``
-runs on the two sides in turn for ``--pairs`` pairs, each run as long as
-the ``run_seconds`` of ``BENCHMARK.json``, and the side that goes first
-alternates from pair to pair, so that neither side always runs on a
-warmer or quieter machine.  Each named acceptance criterion then
+and so is ``--change`` when given; without it the change side is a copy
+there of this working tree's files: the tracked ones that still exist
+and the untracked ones that git does not ignore.  Neither side then
+carries caches such as ``__pycache__`` or ``.hypothesis/``.  For every
+workload and seed, ``perfbench/run.py --trace 0`` runs on the two sides
+in turn for ``--pairs`` pairs, each run as long as the ``run_seconds``
+of ``BENCHMARK.json``, and the side that goes first alternates from pair
+to pair, so that neither side always runs on a warmer or quieter
+machine.  Each named acceptance criterion then
 runs under ``pytest --durations=0`` on both sides, alternating the same
 way, for ``--criterion-pairs`` pairs.
 
@@ -53,6 +56,21 @@ def unpack(rev: str, base: Path) -> Path:
     with tarfile.open(tar_path) as tar:
         tar.extractall(dest, filter="data")
     tar_path.unlink()
+    return dest
+
+
+def snapshot(base: Path) -> Path:
+    """The working tree's tracked and unignored untracked files, in a new
+    directory under base."""
+    dest = Path(tempfile.mkdtemp(prefix="working-tree-", dir=base))
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=ROOT, capture_output=True,
+                            check=True).stdout
+    for name in listed.decode().split("\0"):
+        src = ROOT / name
+        if name and os.path.lexists(src):
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name, follow_symlinks=False)
     return dest
 
 
@@ -135,11 +153,8 @@ def main(argv=None) -> int:
     made = []
     try:
         made.append(unpack(args.parent, base))
-        change = ROOT
-        if args.change:
-            change = unpack(args.change, base)
-            made.append(change)
-        dirs = {"parent": made[0], "change": change}
+        made.append(unpack(args.change, base) if args.change else snapshot(base))
+        dirs = dict(zip(SIDES, made))
         with open(ROOT / "BENCHMARK.json") as fh:
             bench = json.load(fh)
         metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
