@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -224,6 +223,8 @@ def _point_seed(root, *key) -> int:
 def _run_pool(fn, tasks, workers):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # deferred: one worker needs no pool
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, tasks))
 

@@ -112,29 +112,76 @@ def _gf2_solver(m: np.ndarray):
     with transform @ m in reduced echelon form.
 
     Rows of [m | I] are packed 64 columns to a word, each half from a word
-    boundary, so that a row operation is one XOR of a few dozen words.
+    boundary, and eliminated one word-wide panel of columns at a time
+    (the "Four Russians" update of Albrecht, Bard and Hart, ACM TOMS
+    37(1), 2010).  Inside a panel the pivot search and the row operations
+    touch one word per row: the row's panel word, and a mask of the pivot
+    rows, as they stood when the panel began, that went into it.  At the
+    panel's end the full rows catch up at once: the row swaps as one
+    permutation, then per 8 pivots a 256-entry table of their XORs, one
+    gather and one XOR.  The swaps and XORs are those of plain Gauss-Jordan
+    elimination, column by column, so the transform is too.
     """
     n_rows, n_cols = m.shape
     wm, wt = -(-n_cols // 64), -(-n_rows // 64)
-    bits = np.zeros((n_rows, 64 * (wm + wt)), dtype=np.uint8)
-    bits[:, :n_cols] = m % 2
-    bits[np.arange(n_rows), 64 * wm + np.arange(n_rows)] = 1
-    a = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    own = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    a = np.zeros((n_rows, wm + wt), dtype="<u8")
+    packed = np.packbits(m % 2, axis=1, bitorder="little")
+    a.view(np.uint8)[:, :packed.shape[1]] = packed
+    rows = np.arange(n_rows)
+    a[rows, wm + rows // 64] = own[rows % 64]
+    # panel state, one row per word: each row's panel word, then its mask
+    # of pivot rows.  A pivot row carries its own bit while the panel runs,
+    # so that one XOR passes it on along with the row.
+    pw = np.empty((2, n_rows), dtype=np.uint64)
+    word = pw[0].view(np.int64)
+    hit = np.empty(n_rows, dtype=np.int64)
+    hit_mask = hit.view(np.uint64)
+    step = np.empty((2, n_rows), dtype=np.uint64)
     pivots = []
     r = 0
-    for col in range(n_cols):
-        w, b = divmod(col, 64)
-        rows = np.flatnonzero((a[r:, w] >> b) & 1) + r
-        if len(rows) == 0:
+    for w in range(wm):
+        r0 = r
+        pw[0] = a[:, w]
+        pw[1] = 0
+        perm = np.arange(n_rows)
+        for b in range(min(64, n_cols - 64 * w)):
+            # all ones on the rows whose bit b is set, zero elsewhere
+            np.left_shift(word, 63 - b, out=hit)
+            np.right_shift(hit, 63, out=hit)
+            i = r + int(hit[r:].argmin())
+            if not hit[i]:
+                continue
+            if i != r:
+                pw[0, r], pw[0, i] = pw[0, i], pw[0, r]
+                pw[1, r], pw[1, i] = pw[1, i], pw[1, r]
+                perm[r], perm[i] = perm[i], perm[r]
+                hit[i] = hit[r]
+            hit[r] = 0
+            pw[1, r] ^= own[r - r0]
+            np.bitwise_and(hit_mask, pw[:, r:r + 1], out=step)
+            np.bitwise_xor(pw, step, out=pw)
+            pivots.append(64 * w + b)
+            r += 1
+            if r == n_rows:
+                break
+        if r == r0:
             continue
-        if rows[0] != r:
-            a[[r, rows[0]]] = a[[rows[0], r]]
-        hit = np.flatnonzero((a[:, w] >> b) & 1)
-        hit = hit[hit != r]
-        # the pivot row is zero left of col, so words before w stay put
-        a[hit, w:] ^= a[r, w:]
-        pivots.append(col)
-        r += 1
+        pw[1, r0:r] ^= own[:r - r0]
+        # only rows from r0 on were swapped, and they are zero left of the
+        # panel, so words before w stay put
+        a_w = a[perm, w:]
+        n_tab = -(-(r - r0) // 8)
+        piv = np.zeros((8 * n_tab, a_w.shape[1]), dtype=np.uint64)
+        piv[:r - r0] = a_w[r0:r]
+        sel = pw[1].view(np.uint8).reshape(n_rows, 8)
+        tab = np.empty((256, a_w.shape[1]), dtype=np.uint64)
+        tab[0] = 0
+        for c in range(n_tab):
+            for j in range(8):
+                np.bitwise_xor(tab[:1 << j], piv[8 * c + j], out=tab[1 << j:2 << j])
+            np.bitwise_xor(a_w, tab[sel[:, c]], out=a_w)
+        a[:, w:] = a_w
         if r == n_rows:
             break
     t = np.unpackbits(np.ascontiguousarray(a[:, wm:]).view(np.uint8), axis=1,
@@ -268,17 +315,17 @@ class SpatiallyCoupledCode:
 
 
 def _build_edges(q, chain_len, coupling, dv, dc, offsets):
+    # axes (tau, c, r, lane): the order the edges are listed in, which
+    # fixes the order of each check's edges after the stable sort
+    spread = np.array([[_spread_index(r, c, coupling, dv, dc) for r in range(dv)]
+                       for c in range(dc)])
+    tau = np.arange(chain_len)[:, None, None, None]
+    c = np.arange(dc)[None, :, None, None]
+    r = np.arange(dv)[None, None, :, None]
     lanes = np.arange(q)
-    var_ids, chk_ids = [], []
-    for tau in range(chain_len):
-        for c in range(dc):
-            for r in range(dv):
-                t = tau + _spread_index(r, c, coupling, dv, dc)
-                off = offsets[r, c]
-                var_ids.append((tau * dc + c) * q + lanes)
-                chk_ids.append((t * dv + r) * q + (lanes + off) % q)
-    var_ids = np.concatenate(var_ids)
-    chk_ids = np.concatenate(chk_ids)
+    var_ids = np.broadcast_to((tau * dc + c) * q + lanes, (chain_len, dc, dv, q)).ravel()
+    chk_ids = (((tau + spread[:, :, None]) * dv + r) * q
+               + (lanes + offsets.T[:, :, None]) % q).ravel()
     order = np.argsort(chk_ids, kind="stable")
     edge_var = var_ids[order]
     edge_check = chk_ids[order]
@@ -361,15 +408,16 @@ class DecodeResult:
         return self.bits[code.info_vars]
 
 
-def _phi(x, out):
+def _phi(x, out, ceil=_PHI_CEIL):
     # involution -ln tanh(x/2), written log1p(2 / expm1(x)) so that float32
     # keeps its tail: float32 tanh(x/2) rounds to 1 near x = 17, where
     # -ln tanh would read 0.  The clip keeps every step finite and normal:
     # expm1 overflows float32 above about 88.7, and 2 / expm1 turns
     # subnormal above about 88.03, so phi(x >= _PHI_CEIL) = phi(_PHI_CEIL),
-    # about 1.2e-38.  Scalar bounds: np.clip against arrays of the bounds
+    # about 1.2e-38.  A lower ceil folds a saturation clip of x >= 0 into
+    # the same pass.  Scalar bounds: np.clip against arrays of the bounds
     # runs about 5x slower.
-    np.clip(x, _PHI_FLOOR, _PHI_CEIL, out=out)
+    np.clip(x, _PHI_FLOOR, ceil, out=out)
     np.expm1(out, out=out)
     np.divide(2.0, out, out=out)
     return np.log1p(out, out=out)
@@ -399,7 +447,7 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
     the parity of their checks.  Every message, sum and posterior is
     float32, and check and variable sums add one term at a time in
     check-sorted edge order, so the layout moves no bit of the result.
-    The LLRs are rounded to float32 on entry.
+    The LLRs are rounded to float32 on entry; saturation must be positive.
     """
     L, w, q, dv, dc = code.chain_len, code.coupling, code.q, code.dv, code.dc
     win = 4 * w if window is None else int(window)
@@ -422,13 +470,15 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
     # work buffers, allocated once: fresh temporaries would fault in pages
     # on every iteration
     max_chk, max_var = min(win, L + w - 1) * dv * q, min(win, L) * span
-    f32 = np.empty((4, n_slots * max_chk), dtype=np.float32)
+    f32 = np.empty((5, n_slots * max_chk), dtype=np.float32)
     u8 = np.empty((4, n_slots * max_chk), dtype=np.uint8)
     chk_u8 = np.empty((2, max_chk), dtype=np.uint8)
     chk_f32 = np.empty(max_chk, dtype=np.float32)
     var_msgs = np.empty(dv * max_var, dtype=np.float32)
     var_f32 = np.empty(max_var, dtype=np.float32)
     llr = np.zeros(n, dtype=np.float32)
+    # the saturation clip of |v2c|, merged into phi's
+    ph_ceil = min(saturation, _PHI_CEIL)
     total_iter = 0
     for t0 in range(L):
         c_hi = min(t0 + win, L + w - 1)
@@ -440,8 +490,10 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
         gvar = slot_var[:, chk0:chk1].copy()
         vslot = var_slot[:, v0:v1].copy()
         msg = c2v[:, chk0:chk1]
-        gath, v2c, ph, mag = (b[:n_slots * n_chk].reshape(shape) for b in f32)
-        sign = v2c   # v2c is spent once neg and ph are formed
+        gath, v2c, ph, mag, live_f = (b[:n_slots * n_chk].reshape(shape) for b in f32)
+        # v2c is spent once neg and ph are formed; its bits then carry
+        # each message's sign
+        sign = v2c.view(np.uint32)
         neg, par, live, far = (b[:n_slots * n_chk].reshape(shape) for b in u8)
         far = far.view(bool)
         chk_par, syn = chk_u8[:, :n_chk]
@@ -453,6 +505,7 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
         # committed bits fold into a fixed parity per check
         dead = (gvar < v0) | (gvar == n)
         np.logical_not(dead, out=live)
+        np.copyto(live_f, live)
         flip = np.bitwise_xor.reduce(hard.take(gvar), axis=0)
         post_w[:] = lam_w
         msg[:] = 0.0
@@ -463,10 +516,9 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
         for _ in range(iterations):
             total_iter += 1
             np.subtract(gath, msg, out=v2c)
-            np.clip(v2c, -saturation, saturation, out=v2c)
             np.less(v2c, 0.0, out=neg)
-            _phi(np.abs(v2c, out=ph), out=ph)
-            ph[dead] = 0.0
+            _phi(np.abs(v2c, out=ph), out=ph, ceil=ph_ceil)
+            np.multiply(ph, live_f, out=ph)
             np.sum(ph, axis=0, out=ph_sum)
             np.subtract(ph_sum, ph, out=mag)
             # past the ceiling phi is below every normal float32: send 0,
@@ -479,10 +531,10 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
             np.bitwise_xor.reduce(neg, axis=0, out=chk_par)
             np.bitwise_xor(chk_par, flip, out=chk_par)
             np.bitwise_xor(neg, chk_par, out=par)
-            # a float32 scalar: uint8 times a Python float runs in float64
-            np.multiply(par, np.float32(-2.0), out=sign)
-            np.add(sign, 1.0, out=sign)
-            np.multiply(mag, sign, out=msg)
+            # mag is finite and >= 0, so flipping its sign bit is mag * -1,
+            # -0.0 included
+            np.left_shift(par, np.uint32(31), out=sign)
+            np.bitwise_xor(mag.view(np.uint32), sign, out=msg.view(np.uint32))
             np.take(c2v_flat, vslot, out=v_msgs, mode="wrap")
             np.add(lam_w, np.sum(v_msgs, axis=0, out=v_sum), out=post_w)
             # the syndrome test reads the gather the next iteration needs

@@ -19,6 +19,17 @@ def test_harness_import_leaves_slow_scipy_modules_unloaded():
     assert out.stdout.strip() == ""
 
 
+def test_harness_import_leaves_the_process_pool_unloaded():
+    # the pool is imported only by a sweep that runs more than one worker
+    probe = ("import sys, relaycm.harness; "
+             "print(' '.join(m for m in ('concurrent.futures.process', 'multiprocessing') "
+             "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(relaycm.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == ""
+
+
 _SWEEP_PROBE = """
 import sys
 from relaycm.channel import transition_matrix

@@ -170,6 +170,10 @@ def test_alist_round_trip():
 @pytest.mark.parametrize("shape, digest", [
     ((8, 4, 2, 0), "71ceb84f83f5ac1a"),
     ((64, 16, 3, 1), "a6969d498299b21b"),
+    # the code of criterion 8
+    ((64, 20, 2, 1), "545bfed51f89d0db"),
+    # accepted after 6 rejected offset draws
+    ((64, 16, 3, 3), "e8ff213288202961"),
 ])
 def test_alist_bytes_are_pinned(shape, digest):
     q, chain_len, coupling, seed = shape
@@ -334,7 +338,7 @@ def _decode_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=_decode_cases(), iterations=st.integers(1, 30),
-       saturation=st.sampled_from([3.0, 8.0, 25.0, 60.0]), sigma=st.floats(0.3, 1.5),
+       saturation=st.sampled_from([3.0, 8.0, 25.0, 60.0, 100.0]), sigma=st.floats(0.3, 1.5),
        zero_frac=st.sampled_from([0.0, 0.05, 1.0]), seed=st.integers(0, 2**32 - 1))
 def test_decode_matches_edge_list_reference(case, iterations, saturation, sigma, zero_frac, seed):
     q, chain_len, w, window = case
@@ -438,6 +442,18 @@ def test_decode_raises_no_floating_point_error(n_zeros):
         assert not res.converged.any()
 
 
+def test_saturation_above_the_phi_ceiling_raises_no_floating_point_error():
+    # a saturation past _PHI_CEIL leaves phi's own ceiling in force; a
+    # clean word of strong LLRs asks phi of inputs near 100, where float32
+    # expm1 overflows
+    code = build_code(16, 8, 2, seed=0)
+    x = code.encode(np.random.default_rng(6).integers(0, 2, code.k, dtype=np.uint8))
+    with np.errstate(all="raise"):
+        res = decode(code, 100.0 * (1.0 - 2.0 * x.astype(np.float64)), saturation=100.0)
+    assert np.array_equal(res.bits, x)
+    assert res.converged.all()
+
+
 def _reference_gf2_solver(m):
     # plain uint8 Gauss-Jordan elimination, one byte per entry
     n_rows, n_cols = m.shape
@@ -469,6 +485,10 @@ def _reference_gf2_solver(m):
        seed=st.integers(0, 2**32 - 1))
 @example(n_rows=128, n_cols=128, density=0.5, inner=None, seed=0)
 @example(n_rows=65, n_cols=64, density=0.1, inner=60, seed=1)
+# several panels, with a rank deficiency that crosses them
+@example(n_rows=200, n_cols=260, density=0.5, inner=150, seed=2)
+# sparse like the termination system, about 3 ones per row
+@example(n_rows=300, n_cols=300, density=0.01, inner=None, seed=3)
 def test_packed_gf2_solver_matches_plain_elimination(n_rows, n_cols, density, inner, seed):
     rng = np.random.default_rng(seed)
     if inner is None:
