@@ -54,84 +54,71 @@ from .scldpc import build_code, decode
 
 KINDS = ("snr_region", "distance_contour", "coded_contour")
 
-# section -> key -> (parser kind, default)
+
+def _items(cast):
+    """Parser of a comma list; blank items are skipped."""
+    return lambda raw: [cast(s) for s in raw.split(",") if s.strip()]
+
+
+def _grid(raw):
+    # start:stop:count or a comma list
+    if ":" not in raw:
+        return _items(float)(raw)
+    a, b, n = raw.split(":")
+    if int(n) < 1:
+        raise ValueError("grid needs at least one point")
+    return [float(v) for v in np.linspace(float(a), float(b), int(n))]
+
+
+def _intgrid(raw):
+    # start:stop[:step], stop included whatever the step's sign, or a comma list
+    if ":" not in raw:
+        return _items(int)(raw)
+    parts = [int(p) for p in raw.split(":")]
+    step = parts[2] if len(parts) > 2 else 1
+    return list(range(parts[0], parts[1] + (1 if step > 0 else -1), step))
+
+
+# section -> key -> (parser, default); a parser raises ValueError on bad text
 _SCHEMA = {
     "run": {
-        "kind": ("str", ""),
-        "seed": ("int", 1),
-        "bus_rate_gbit": ("float", 250.0),
+        "kind": (str, ""),
+        "seed": (int, 1),
+        "bus_rate_gbit": (float, 250.0),
     },
     "link": {
-        "constellation": ("str", "qam16"),
-        "variants": ("strs", ["hd_matched"]),
-        "snr_ref_db": ("float", 22.0),
-        "span_km": ("float", 80.0),
-        "relay_penalty_db": ("float", 0.0),
+        "constellation": (str, "qam16"),
+        "variants": (_items(str.strip), ["hd_matched"]),
+        "snr_ref_db": (float, 22.0),
+        "span_km": (float, 80.0),
+        "relay_penalty_db": (float, 0.0),
     },
     "sweep": {
-        "rate": ("float", 0.8),
-        "snr1_db": ("grid", [float(v) for v in np.linspace(14.0, 23.0, 10)]),
-        "spans1": ("intgrid", list(range(0, 11))),
-        "f": ("floats", [0.0]),
-        "n_symbols": ("int", 100_000),
-        "snr2_lo_db": ("float", -2.0),
-        "snr2_hi_db": ("float", 30.0),
-        "tol_db": ("float", 0.05),
-        "dmc_method": ("str", "analytic"),
-        "dmc_samples": ("int", 200_000),
+        "rate": (float, 0.8),
+        "snr1_db": (_grid, [float(v) for v in np.linspace(14.0, 23.0, 10)]),
+        "spans1": (_intgrid, list(range(0, 11))),
+        "f": (_items(float), [0.0]),
+        "n_symbols": (int, 100_000),
+        "snr2_lo_db": (float, -2.0),
+        "snr2_hi_db": (float, 30.0),
+        "tol_db": (float, 0.05),
+        "dmc_method": (str, "analytic"),
+        "dmc_samples": (int, 200_000),
     },
     "code": {
-        "q": ("int", 32),
-        "chain_len": ("int", 12),
-        "coupling": ("ints", [2]),
-        "seed": ("int", 1),
-        "window": ("optint", None),
-        "iterations": ("int", 20),
-        "saturation": ("float", 25.0),
-        "strategies": ("strs", ["interleaved"]),
-        "n_codewords": ("int", 10),
-        "ber_target": ("float", 1e-4),
-        "tol_db": ("float", 0.1),
+        "q": (int, 32),
+        "chain_len": (int, 12),
+        "coupling": (_items(int), [2]),
+        "seed": (int, 1),
+        "window": (lambda raw: int(raw) if raw else None, None),
+        "iterations": (int, 20),
+        "saturation": (float, 25.0),
+        "strategies": (_items(str.strip), ["interleaved"]),
+        "n_codewords": (int, 10),
+        "ber_target": (float, 1e-4),
+        "tol_db": (float, 0.1),
     },
 }
-
-
-def _parse_value(kind, raw, where):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "str":
-            return raw
-        if kind == "strs":
-            return [s.strip() for s in raw.split(",") if s.strip()]
-        if kind == "floats":
-            return [float(s) for s in raw.split(",") if s.strip()]
-        if kind == "ints":
-            return [int(s) for s in raw.split(",") if s.strip()]
-        if kind == "optint":
-            return None if raw == "" else int(raw)
-        if kind == "grid":
-            # start:stop:count or a comma list
-            if ":" in raw:
-                a, b, n = raw.split(":")
-                n = int(n)
-                if n < 1:
-                    raise ValueError("grid needs at least one point")
-                return [float(v) for v in np.linspace(float(a), float(b), n)]
-            return [float(s) for s in raw.split(",") if s.strip()]
-        if kind == "intgrid":
-            # start:stop[:step], stop included whatever the step's sign, or a comma list
-            if ":" in raw:
-                parts = [int(p) for p in raw.split(":")]
-                a, b = parts[0], parts[1]
-                step = parts[2] if len(parts) > 2 else 1
-                return list(range(a, b + (1 if step > 0 else -1), step))
-            return [int(s) for s in raw.split(",") if s.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {where}: {raw!r} ({exc})") from exc
-    raise AssertionError(kind)
 
 
 def load_config(path):
@@ -155,11 +142,15 @@ def load_config(path):
     cfg = {}
     for sec, keys in _SCHEMA.items():
         out = {}
-        for key, (kind, default) in keys.items():
-            if cp.has_option(sec, key):
-                out[key] = _parse_value(kind, cp.get(sec, key).strip(), f"[{sec}] {key}")
-            else:
+        for key, (parse, default) in keys.items():
+            if not cp.has_option(sec, key):
                 out[key] = default
+                continue
+            raw = cp.get(sec, key).strip()
+            try:
+                out[key] = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for [{sec}] {key}: {raw!r} ({exc})") from exc
         cfg[sec] = out
     _validate(cfg)
     return cfg

@@ -19,20 +19,23 @@ freedom than the encoder uses: the free variables are pinned to zero so
 the map stays linear.  Offsets that leave a larger deficiency are
 rejected and redrawn.
 
+The graph is held once, as a slot layout that build_code makes for the
+accepted offset draw: one column per check, whose rows hold its
+variables in the order the edges are listed, and for each variable the
+slots of its dv edges.  Encoding and the syndrome XOR the word over
+slot columns.
+
 Decoding is a sliding-window sum-product pass that decides one position
-per step, folding already-decided positions into the check parities.
-Messages live on a slot layout that the first decode of a code builds
-and caches: one row per check slot, one column per check, and for each
-variable the slots of its dv edges.  A window step is a column slice of
-that layout plus the contiguous run of variables its checks reach, so no
-step re-derives its edges.  Every check and variable sum adds its terms
-one at a time in check-sorted edge order, so the window and the layout
-do not change a single bit of the result.  Decoding runs in float32: the
-check-node function is computed as log1p(2 / expm1(x)), which keeps its
-tail in float32 where -ln tanh(x/2) would round it to zero.  A caller
-may watch each position as it is committed and end the word there; the
-positions already committed keep every bit, since no later step revisits
-them.  Building, encoding and the syndrome stay exact integer work.
+per step, folding already-decided positions into the check parities.  A
+step is a column slice of the layout plus the contiguous run of
+variables its checks reach.  Every check and variable sum adds its terms
+one at a time in slot order, so the window does not change a single bit
+of the result.  Decoding runs in float32: the check-node function is
+computed as log1p(2 / expm1(x)), which keeps its tail in float32 where
+-ln tanh(x/2) would round it to zero.  A caller may watch each position
+as it is committed and end the word there; the positions already
+committed keep every bit, since no later step revisits them.  Building,
+encoding and the syndrome stay exact integer work.
 """
 
 from __future__ import annotations
@@ -190,10 +193,15 @@ def _gf2_solver(m: np.ndarray):
 
 
 class SpatiallyCoupledCode:
-    """One built code instance; use build_code to construct."""
+    """One built code instance; use build_code to construct.
 
-    def __init__(self, q, chain_len, coupling, dv, dc, offsets, girth,
-                 edge_var, edge_check, check_ptr, tail_solver):
+    slot_var[s, c] is the variable on slot s of check c; slots past a
+    check's degree hold the sentinel n.  var_slot[k, v] is the flat
+    position s * n_checks + c of variable v's k-th edge, in ascending
+    check order.
+    """
+
+    def __init__(self, q, chain_len, coupling, dv, dc, offsets, girth, layout, tail_solver):
         self.q = q
         self.chain_len = chain_len
         self.coupling = coupling
@@ -205,13 +213,10 @@ class SpatiallyCoupledCode:
         self.n_checks = dv * q * (chain_len + coupling - 1)
         self.k = q * ((dc - dv) * chain_len - dv * (coupling - 1))
         self.rate = self.k / self.n
-        self._edge_var = edge_var        # sorted by check id
-        self._edge_check = edge_check
-        self._check_ptr = check_ptr
+        self.slot_var, self.var_slot = layout
         self._tail_transform, self._tail_pivots, self._tail_rank = tail_solver
         self.info_vars = self._info_vars()
         self.tail_vars = self._tail_vars()
-        self._slots = None
 
     def _info_vars(self):
         q, dc, dv, L, w = self.q, self.dc, self.dv, self.chain_len, self.coupling
@@ -230,36 +235,10 @@ class SpatiallyCoupledCode:
             parts.append(np.arange(base, base + 2 * dv * q))
         return np.concatenate(parts) if parts else np.array([], dtype=np.int64)
 
-    def _slot_layout(self):
-        """Window-independent decoder layout, built on first use.
-
-        Returns (slot_var, var_slot).  slot_var[s, c] is the variable on
-        slot s of check c, slots in check-sorted edge order; slots past a
-        check's degree hold the sentinel n.  var_slot[k, v] is the flat
-        position s * n_checks + c of variable v's k-th edge, in ascending
-        check order.
-        """
-        if self._slots is None:
-            ptr = self._check_ptr
-            deg = np.diff(ptr)
-            slot = np.arange(len(self._edge_var)) - np.repeat(ptr[:-1], deg)
-            slot_var = np.full((deg.max(), self.n_checks), self.n, dtype=np.int64)
-            slot_var[slot, self._edge_check] = self._edge_var
-            flat = slot * self.n_checks + self._edge_check
-            # edges are check-sorted, so a stable sort by variable keeps
-            # each variable's checks ascending
-            order = np.argsort(self._edge_var, kind="stable")
-            var_slot = np.ascontiguousarray(flat[order].reshape(self.n, self.dv).T)
-            self._slots = (slot_var, var_slot)
-        return self._slots
-
-    def _class_syndrome(self, x, cls, n_lanes):
-        """Parity per check lane over one contiguous run of check ids."""
-        lo = self._check_ptr[cls * self.q]
-        hi = self._check_ptr[cls * self.q + n_lanes]
-        lanes = self._edge_check[lo:hi] - cls * self.q
-        s = np.bincount(lanes, weights=x[self._edge_var[lo:hi]], minlength=n_lanes)
-        return s.astype(np.int64) % 2
+    def _parity(self, x, chk0, chk1):
+        """Parities of checks chk0..chk1-1 of a word x that carries a 0 at
+        the sentinel index n."""
+        return np.bitwise_xor.reduce(x[self.slot_var[:, chk0:chk1]], axis=0)
 
     def encode(self, u) -> np.ndarray:
         """Systematic encoding of k info bits into an n-bit codeword."""
@@ -267,47 +246,42 @@ class SpatiallyCoupledCode:
         if len(u) != self.k:
             raise ConfigError(f"expected {self.k} info bits, got {len(u)}")
         q, dc, dv, L, w = self.q, self.dc, self.dv, self.chain_len, self.coupling
-        x = np.zeros(self.n, dtype=np.uint8)
+        x = np.zeros(self.n + 1, dtype=np.uint8)
         x[self.info_vars] = u & 1
-        for t in range(L - w + 1):
-            for r in range(dv):
-                syn = self._class_syndrome(x, t * dv + r, q)
-                base = (t * dc + dc - dv + r) * q
-                x[base:base + q] = syn
-        n_tail = 2 * dv * (w - 1) * q
-        cls0 = (L - w + 1) * dv
-        rhs = self._class_syndrome(x, cls0, n_tail)
-        y = (self._tail_transform.astype(np.int64) @ rhs) % 2
+        for cls in range((L - w + 1) * dv):
+            t, r = divmod(cls, dv)
+            base = (t * dc + dc - dv + r) * q
+            x[base:base + q] = self._parity(x, cls * q, (cls + 1) * q)
+        rhs = self._parity(x, (L - w + 1) * dv * q, self.n_checks)
+        # uint8 sums wrap mod 256, which keeps their parity
+        y = (self._tail_transform @ rhs) % 2
         if np.any(y[self._tail_rank:]):
             raise RuntimeError("termination system inconsistent; corrupted build")
-        xt = np.zeros(n_tail, dtype=np.uint8)
-        xt[self._tail_pivots] = y[:self._tail_rank]
-        x[self.tail_vars] = xt
-        return x
+        # the tail is still all zero; free variables stay so
+        x[self.tail_vars[self._tail_pivots]] = y[:self._tail_rank]
+        return x[:self.n]
 
     def syndrome(self, x) -> np.ndarray:
         """All check parities of a word."""
-        x = np.asarray(x, dtype=np.uint8)
-        s = np.bincount(self._edge_check, weights=x[self._edge_var].astype(np.float64),
-                        minlength=self.n_checks)
-        return s.astype(np.int64) % 2
+        xs = np.append(np.asarray(x, dtype=np.uint8), np.uint8(0))
+        return self._parity(xs, 0, self.n_checks).astype(np.int64)
 
     def to_alist(self) -> str:
         """Standard alist text: dimensions, max degrees, per-node degree
         lists, then 1-based neighbor lists padded with zeros.
 
-        The lists are read off the decoder's slot layout, whose edges
-        run in ascending order on both sides.
+        The lists are read off the slot layout, whose edges run in
+        ascending order on both sides.
         """
-        slot_var, var_slot = self._slot_layout()
-        var_nbr = var_slot.T % self.n_checks + 1
+        n, slot_var = self.n, self.slot_var
+        var_nbr = self.var_slot.T % self.n_checks + 1
         # the pad sentinel n becomes the alist's 0
-        chk_nbr = np.where(slot_var == self.n, -1, slot_var).T + 1
+        chk_nbr = np.where(slot_var == n, -1, slot_var).T + 1
         lines = [
-            f"{self.n} {self.n_checks}",
+            f"{n} {self.n_checks}",
             f"{self.dv} {len(slot_var)}",
-            " ".join([str(self.dv)] * self.n),
-            " ".join(map(str, np.diff(self._check_ptr).tolist())),
+            " ".join([str(self.dv)] * n),
+            " ".join(map(str, (slot_var < n).sum(axis=0).tolist())),
         ]
         lines += [" ".join(map(str, nbr)) for nbr in var_nbr.tolist()]
         lines += [" ".join(map(str, nbr)) for nbr in chk_nbr.tolist()]
@@ -315,8 +289,8 @@ class SpatiallyCoupledCode:
 
 
 def _build_edges(q, chain_len, coupling, dv, dc, offsets):
-    # axes (tau, c, r, lane): the order the edges are listed in, which
-    # fixes the order of each check's edges after the stable sort
+    """(variable, check) ids of every edge, listed along axes (tau, c, r,
+    lane); the list order fixes the order of each check's slots."""
     spread = np.array([[_spread_index(r, c, coupling, dv, dc) for r in range(dv)]
                        for c in range(dc)])
     tau = np.arange(chain_len)[:, None, None, None]
@@ -326,28 +300,48 @@ def _build_edges(q, chain_len, coupling, dv, dc, offsets):
     var_ids = np.broadcast_to((tau * dc + c) * q + lanes, (chain_len, dc, dv, q)).ravel()
     chk_ids = (((tau + spread[:, :, None]) * dv + r) * q
                + (lanes + offsets.T[:, :, None]) % q).ravel()
-    order = np.argsort(chk_ids, kind="stable")
-    edge_var = var_ids[order]
-    edge_check = chk_ids[order]
-    n_checks = dv * q * (chain_len + coupling - 1)
-    ptr = np.zeros(n_checks + 1, dtype=np.int64)
-    np.cumsum(np.bincount(edge_check, minlength=n_checks), out=ptr[1:])
-    return edge_var, edge_check, ptr
+    return var_ids, chk_ids
 
 
-def _tail_system(q, chain_len, coupling, dv, dc, edge_var, edge_check, check_ptr):
+def _slot_layout(q, chain_len, coupling, dv, dc, edge_var, edge_check):
+    """(slot_var, var_slot) of SpatiallyCoupledCode, from _build_edges' list."""
+    n, n_checks = dc * q * chain_len, dv * q * (chain_len + coupling - 1)
+    # the list holds blocks of q edges, one block per (tau, c, r), and each
+    # block meets every check of one class (the q checks of a position and
+    # base row) once.  An edge's slot is the number of blocks listed before
+    # its own that meet the same class; a stable sort keeps the list order.
+    cls = edge_check[::q] // q
+    per_cls = np.bincount(cls)
+    blk = np.empty_like(cls)
+    blk[np.argsort(cls, kind="stable")] = np.arange(len(cls))
+    blk -= (np.cumsum(per_cls) - per_cls)[cls]
+    slot = np.repeat(blk, q)
+    slot_var = np.full((per_cls.max(), n_checks), n, dtype=np.int64)
+    slot_var[slot, edge_check] = edge_var
+    slot *= n_checks
+    slot += edge_check
+    # a variable's checks ascend in an order that depends on its column
+    # alone, the order of their classes
+    rank = cls[:dc * dv].reshape(dc, dv).argsort(axis=1).argsort(axis=1)
+    var_slot = np.empty((dv, n), dtype=np.int64)
+    np.put_along_axis(var_slot.reshape(dv, chain_len, dc, q).transpose(1, 2, 0, 3),
+                      rank[None, :, :, None], slot.reshape(chain_len, dc, dv, q), axis=2)
+    return slot_var, var_slot
+
+
+def _tail_system(q, chain_len, coupling, dv, dc, edge_var, edge_check):
     L, w = chain_len, coupling
     n_tail = 2 * dv * (w - 1) * q
     chk0 = (L - w + 1) * dv * q
-    lo = check_ptr[(L - w + 1) * dv]
+    # the list runs position by position, and the unknowns sit in the
+    # last w-1 positions, whose checks all lie at chk0 or later
+    lo = (L - w + 1) * dc * dv * q
     ev = edge_var[lo:]
-    ec = edge_check[lo:]
-    tau = ev // (dc * q)
     c = (ev // q) % dc
-    unknown = (tau >= L - w + 1) & (c >= dc - 2 * dv)
-    rows = ec[unknown] - chk0
-    base = (tau[unknown] - (L - w + 1)) * 2 * dv * q
-    cols = base + ev[unknown] - (tau[unknown] * dc + dc - 2 * dv) * q
+    unknown = c >= dc - 2 * dv
+    tau = ev[unknown] // (dc * q)
+    rows = edge_check[lo:][unknown] - chk0
+    cols = (tau - (L - w + 1)) * 2 * dv * q + ev[unknown] - (tau * dc + dc - 2 * dv) * q
     m = np.zeros((n_tail, n_tail), dtype=np.uint8)
     np.add.at(m, (rows, cols), 1)
     m %= 2
@@ -376,14 +370,14 @@ def build_code(q: int, chain_len: int, coupling: int, seed: int = 0,
     for attempt in range(_MAX_BUILD_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt,)))
         offsets, violations = _greedy_offsets(q, coupling, dv, dc, rng)
-        edge_var, edge_check, check_ptr = _build_edges(q, chain_len, coupling, dv, dc, offsets)
-        m = _tail_system(q, chain_len, coupling, dv, dc, edge_var, edge_check, check_ptr)
+        edges = _build_edges(q, chain_len, coupling, dv, dc, offsets)
+        m = _tail_system(q, chain_len, coupling, dv, dc, *edges)
         transform, pivots, rank = _gf2_solver(m)
         if m.shape[0] - rank == dv - 1:
             return SpatiallyCoupledCode(
                 q, chain_len, coupling, dv, dc, offsets,
                 girth=4 if violations else 6,
-                edge_var=edge_var, edge_check=edge_check, check_ptr=check_ptr,
+                layout=_slot_layout(q, chain_len, coupling, dv, dc, *edges),
                 tail_solver=(transform, pivots, rank),
             )
     raise RuntimeError(
@@ -440,23 +434,24 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
     posteriors past t stay 0, and no position is flagged converged.
     Committed positions match the full decode bit for bit.
 
-    Messages live on the code's cached slot layout (see
-    SpatiallyCoupledCode._slot_layout).  A step is a column slice of it,
-    the window's checks, plus the contiguous run of variables those checks
-    reach; slots of committed variables take no messages and only fix
-    the parity of their checks.  Every message, sum and posterior is
-    float32, and check and variable sums add one term at a time in
-    check-sorted edge order, so the layout moves no bit of the result.
-    The LLRs are rounded to float32 on entry; saturation must be positive.
+    Messages live on the code's slot layout (see SpatiallyCoupledCode).
+    A step is a column slice of it, the window's checks, plus the
+    contiguous run of variables those checks reach; slots of committed
+    variables take no messages and only fix the parity of their checks.
+    Every message, sum and posterior is float32, and check and variable
+    sums add one term at a time in slot order.  The LLRs are rounded to
+    float32 on entry; saturation must be positive.
     """
     L, w, q, dv, dc = code.chain_len, code.coupling, code.q, code.dv, code.dc
     win = 4 * w if window is None else int(window)
     if win < w:
         raise ConfigError("window must span at least the coupling width")
+    if not saturation > 0:
+        raise ConfigError("saturation must be positive")
     lam = np.asarray(llrs, dtype=np.float32).ravel()
     if len(lam) != code.n:
         raise ConfigError(f"expected {code.n} LLRs, got {len(lam)}")
-    slot_var, var_slot = code._slot_layout()
+    slot_var, var_slot = code.slot_var, code.var_slot
     n, span, n_slots = code.n, dc * q, slot_var.shape[0]
     # index n is the pad sentinel: its hard bit stays 0
     hard = np.zeros(n + 1, dtype=np.uint8)

@@ -7,7 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaycm.errors import ConfigError
-from relaycm.scldpc import DEFAULT_DC, _gf2_solver, _phi, build_code, decode, design_rate
+from relaycm.scldpc import (
+    DEFAULT_DC,
+    _build_edges,
+    _gf2_solver,
+    _phi,
+    build_code,
+    decode,
+    design_rate,
+)
 
 
 def test_design_rate_arithmetic():
@@ -30,8 +38,8 @@ def test_dimensions_and_rate():
 
 @lru_cache(maxsize=64)
 def _shared_code(q, chain_len, coupling, dc=DEFAULT_DC):
-    # one instance per shape, so examples also decode on a layout that an
-    # earlier example, with another window, built and cached
+    # one instance per shape, so examples with different windows decode on
+    # the same layout
     return build_code(q, chain_len, coupling, seed=0, dc=dc)
 
 
@@ -135,14 +143,35 @@ def _alist_h(text):
     return h
 
 
-def test_sparse_matrix_matches_syndrome():
-    code = build_code(8, 6, 2, seed=2)
-    h = _alist_h(code.to_alist().splitlines())
-    assert h.shape == (code.n_checks, code.n)
-    x = np.random.default_rng(0).integers(0, 2, code.n, dtype=np.uint8)
-    np.testing.assert_array_equal((h.astype(np.int64) @ x) % 2, code.syndrome(x))
-    # column weights are the variable degree throughout
-    np.testing.assert_array_equal(h.sum(axis=0), 3)
+def _edge_list_h(code):
+    # H from the edge list the layout is built from, not from the layout
+    var, chk = _build_edges(code.q, code.chain_len, code.coupling, code.dv, code.dc,
+                            code.offsets)
+    # uint8 holds every row sum: a check has at most dc edges
+    h = np.zeros((code.n_checks, code.n), dtype=np.uint8)
+    np.add.at(h, (chk, var), 1)
+    return h
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=_code_shapes(), seed=st.integers(0, 2**32 - 1))
+@example(shape=(8, 6, 2, DEFAULT_DC), seed=0)
+def test_sparse_matrix_matches_syndrome(shape, seed):
+    # encode, syndrome and the alist all read the slot layout; the edge
+    # list checks each of them on its own
+    code = _shared_code(*shape)
+    h = _edge_list_h(code)
+    # no variable meets a check twice, and column weights are the
+    # variable degree throughout
+    assert h.max() == 1
+    np.testing.assert_array_equal(h.sum(axis=0), code.dv)
+    np.testing.assert_array_equal(_alist_h(code.to_alist().splitlines()), h)
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, code.n, dtype=np.uint8)
+    s = code.syndrome(x)
+    assert s.dtype == np.int64
+    np.testing.assert_array_equal(s, (h @ x) % 2)
+    assert not ((h @ code.encode(rng.integers(0, 2, code.k, dtype=np.uint8))) % 2).any()
 
 
 def test_alist_round_trip():
@@ -237,6 +266,9 @@ def test_decode_validation():
         decode(code, np.zeros(code.n), window=1)
     with pytest.raises(ConfigError):
         decode(code, np.zeros(code.n - 1))
+    for saturation in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            decode(code, np.zeros(code.n), saturation=saturation)
 
 
 def _reference_phi(x, dtype):
@@ -254,6 +286,9 @@ def _reference_decode(code, llrs, window=None, iterations=20, saturation=25.0,
     # in float64 whatever its weights).  float32 is the decoder's arithmetic,
     # float64 the one it replaced.
     L, w, q, dv, dc = code.chain_len, code.coupling, code.q, code.dv, code.dc
+    var, chk = _build_edges(q, L, w, dv, dc, code.offsets)
+    order = np.argsort(chk, kind="stable")
+    edge_var, edge_check = var[order], chk[order]
     win = 4 * w if window is None else int(window)
     lam = np.asarray(llrs, dtype=dtype).ravel()
     hard = np.zeros(code.n, dtype=np.uint8)
@@ -263,9 +298,9 @@ def _reference_decode(code, llrs, window=None, iterations=20, saturation=25.0,
     for t0 in range(L):
         c_hi = min(t0 + win, L + w - 1)
         chk0, chk1 = t0 * dv * q, c_hi * dv * q
-        lo, hi = code._check_ptr[chk0], code._check_ptr[chk1]
-        evar = code._edge_var[lo:hi]
-        echk = code._edge_check[lo:hi] - chk0
+        lo, hi = np.searchsorted(edge_check, [chk0, chk1])
+        evar = edge_var[lo:hi]
+        echk = edge_check[lo:hi] - chk0
         n_chk = chk1 - chk0
         frozen = (evar // (dc * q)) < t0
         flip = np.bincount(echk[frozen], weights=hard[evar[frozen]].astype(np.float64),
@@ -348,7 +383,7 @@ def test_decode_matches_edge_list_reference(case, iterations, saturation, sigma,
                               saturation=saturation)
 
 
-def test_cached_layout_serves_every_window():
+def test_one_layout_serves_every_window():
     code = build_code(16, 8, 3, seed=1)
     lam = _noisy_llrs(code, 0.8, 0.02, np.random.default_rng(4))
     for window in (4, 10, 4):
