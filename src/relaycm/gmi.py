@@ -6,13 +6,12 @@ metric decoder, in bits per symbol:
     G = sum_i ( 1 - E[ log2(1 + exp(-(-1)^{b_i} L_i)) ] )
 
 alongside a 95% confidence halfwidth from the per-symbol loss variance.
-This module also hosts the relay step of each variant (relay_forward)
-and the rule that pairs it with its destination demapper (relay_llrs),
-the common-random-number link evaluator used by the sweep and bisection
-drivers, and the scalar LLR rescaling that a mismatched (relay-blind)
-demapper needs to stop its rate estimate from collapsing: the multiplier
-that minimizes the convex loss, found by a safeguarded Newton solve
-(optimal_llr_scale).
+This module also hosts the fixed-noise two-hop link (RelayLink) that the
+rate evaluator and the coded error-rate loop share, with the demapper
+each relay variant pairs with, and the scalar LLR rescaling that a
+mismatched (relay-blind) demapper needs to stop its rate estimate from
+collapsing: the multiplier that minimizes the convex loss, found by a
+safeguarded Newton solve (optimal_llr_scale).
 """
 
 from __future__ import annotations
@@ -175,38 +174,54 @@ def optimal_llr_scale(llrs: np.ndarray, bits: np.ndarray, tol: float = 1e-6) -> 
     return result(t / unit)
 
 
-def relay_forward(c: Constellation, y1: np.ndarray, snr1: float, variant: str,
-                  splice=None) -> np.ndarray:
-    """Hop-2 waveform that the relay variant sends on from hop-1 output y1.
+class RelayLink:
+    """Symbols x sent over hop 1 at snr1, forwarded by the relay variant,
+    and received over hop 2 at fixed noise.
+
+    Hop-1 noise comes from derived_rng(*key, 1).  Unit-variance hop-2
+    noise comes from derived_rng(*key, 2), and receive(snr2) rescales it,
+    so every query sees the same draws whatever its snr2.
 
     A scaling relay restores unit power; the hard-decision variants
     re-decide every symbol to the nearest point.  splice, when given, maps
     the decided indices to the indices sent on, such as a codeword with
-    the relay's own traffic spliced in.
+    the relay's own traffic spliced in.  dmc is the relay's transition
+    matrix, which the matched hard-decision receiver demaps over.
     """
-    if variant == SCALE_RELAY:
-        return power_normalizing_eta(snr1) * y1
-    idx = nearest_index(y1, c.symbols)
-    return c.symbols[idx if splice is None else splice(idx)]
 
+    def __init__(self, c: Constellation, x: np.ndarray, snr1: float, variant: str, key: tuple,
+                 dmc: DmcMatrix | None = None, splice=None):
+        self.c = c
+        self.snr1 = float(snr1)
+        self.variant = variant
+        self.dmc = dmc
+        y1 = transmit(x, AwgnSegment(snr=self.snr1), derived_rng(*key, 1))
+        if variant == SCALE_RELAY:
+            self.sent = power_normalizing_eta(self.snr1) * y1
+        else:
+            idx = nearest_index(y1, c.symbols)
+            self.sent = c.symbols[idx if splice is None else splice(idx)]
+        self.unit_noise = complex_noise_unit(derived_rng(*key, 2), len(x))
 
-def relay_llrs(c: Constellation, y2: np.ndarray, snr1: float, snr2: float, variant: str,
-               dmc: DmcMatrix | None = None) -> np.ndarray:
-    """Destination LLRs of two-hop traffic received as y2, from the
-    demapper that the relay variant pairs with.
+    def receive(self, snr2: float) -> np.ndarray:
+        """Hop-2 output at snr2."""
+        return self.sent + np.sqrt(1.0 / snr2) * self.unit_noise
 
-    A scaling relay is demapped conventionally at the composite snr,
-    after undoing its gain; a matched hard-decision receiver uses the
-    equivalent demapper over the relay's transition matrix dmc; the
-    relay-blind legacy receiver demaps conventionally at snr2 alone.
-    """
-    if variant == SCALE_RELAY:
-        eta = power_normalizing_eta(snr1)
-        dem = Demapper.conventional(c, scale_relay_equivalent_snr(snr1, snr2))
-        return dem.llrs(y2 / eta)
-    if variant == HD_MATCHED:
-        return Demapper.equivalent(c, snr2, dmc).llrs(y2)
-    return Demapper.conventional(c, snr2).llrs(y2)
+    def llrs(self, y2: np.ndarray, snr2: float) -> np.ndarray:
+        """Destination LLRs of two-hop traffic received as y2 at snr2.
+
+        A scaling relay is demapped conventionally at the composite snr,
+        after undoing its gain; a matched hard-decision receiver uses the
+        equivalent demapper over dmc; the relay-blind legacy receiver
+        demaps conventionally at snr2 alone.
+        """
+        if self.variant == SCALE_RELAY:
+            eta = power_normalizing_eta(self.snr1)
+            dem = Demapper.conventional(self.c, scale_relay_equivalent_snr(self.snr1, snr2))
+            return dem.llrs(y2 / eta)
+        if self.variant == HD_MATCHED:
+            return Demapper.equivalent(self.c, snr2, self.dmc).llrs(y2)
+        return Demapper.conventional(self.c, snr2).llrs(y2)
 
 
 def decodability_margin(c: Constellation, value: float, rate: float) -> float:
@@ -218,8 +233,8 @@ def decodability_margin(c: Constellation, value: float, rate: float) -> float:
 class RelayGmiEvaluator:
     """Fixed-noise evaluator of link rates as the second hop snr varies.
 
-    Source bits, first-hop noise, and unit-variance second-hop noise are
-    drawn once; each query rescales the stored noise.  Rate estimates are
+    Source bits are drawn once and sent over one RelayLink keyed (seed,),
+    whose stored hop-2 noise each query rescales.  Rate estimates are
     then continuous and monotone in snr2, which keeps bisection results
     deterministic.  A separate stream with its own noise, drawn on first
     use, supports the single-hop (relay-injected traffic) rate at the
@@ -241,23 +256,13 @@ class RelayGmiEvaluator:
         if n_symbols < 2:
             raise ConfigError("need at least two symbols")
         self.c = c
-        self.snr1 = float(snr1)
-        self.variant = variant
         self.n_symbols = int(n_symbols)
         self._seed = seed
         self.bits, x = self._draw_symbols(0)
-        y1 = transmit(x, AwgnSegment(snr=self.snr1), derived_rng(seed, 1))
-        self._unit_noise2 = complex_noise_unit(derived_rng(seed, 2), self.n_symbols)
-        self._relay_out = relay_forward(c, y1, self.snr1, variant)
-        self.dmc = None
-        if variant == HD_MATCHED:
-            self.dmc = transition_matrix(
-                c,
-                self.snr1,
-                method=dmc_method,
-                mc_samples=dmc_samples,
-                seed=int(derived_rng(seed, 3).integers(0, 2 ** 31)),
-            )
+        dmc = None if variant != HD_MATCHED else transition_matrix(
+            c, float(snr1), method=dmc_method, mc_samples=dmc_samples,
+            seed=int(derived_rng(seed, 3).integers(0, 2 ** 31)))
+        self.link = RelayLink(c, x, snr1, variant, (seed,), dmc)
 
     def _draw_symbols(self, key: int) -> tuple:
         """Source bits, shaped (n_symbols, m), and their symbols."""
@@ -271,13 +276,11 @@ class RelayGmiEvaluator:
         return (*self._draw_symbols(4),
                 complex_noise_unit(derived_rng(self._seed, 5), self.n_symbols))
 
-    def _receive(self, snr2: float) -> np.ndarray:
-        return self._relay_out + np.sqrt(1.0 / snr2) * self._unit_noise2
-
     def two_hop_gmi(self, snr2: float) -> GmiEstimate:
         """Rate of traffic that crosses both hops, under this variant."""
-        llrs = relay_llrs(self.c, self._receive(snr2), self.snr1, snr2, self.variant, self.dmc)
-        if self.variant == HD_LEGACY_SOPT:
+        link = self.link
+        llrs = link.llrs(link.receive(snr2), snr2)
+        if link.variant == HD_LEGACY_SOPT:
             # the relay-blind receiver's rate after its best scalar rescaling
             return _estimate(optimal_llr_scale(llrs, self.bits).bit_losses)
         return gmi_from_llrs(llrs, self.bits)

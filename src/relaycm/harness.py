@@ -27,13 +27,10 @@ import numpy as np
 from . import __version__
 from .channel import (
     NOISELESS_SNR,
-    AwgnSegment,
     LinkModel,
-    complex_noise_unit,
     derived_rng,
     nearest_index,  # unused here; perfbench/spans.py wraps harness.nearest_index
     transition_matrix,
-    transmit,
 )
 from .constellation import bits_for_indices, build_constellation, indices_for_bits, packaged_table
 from .container import STRATEGIES, plan_container, relay_add, select_llrs
@@ -44,9 +41,8 @@ from .gmi import (
     SCALE_RELAY,
     VARIANTS,
     RelayGmiEvaluator,
+    RelayLink,
     decodability_margin,
-    relay_forward,
-    relay_llrs,
     required_snr2_db,
     single_hop_gmi,
 )
@@ -279,15 +275,17 @@ def _cached_code(q, chain_len, coupling, seed):
     return build_code(q, chain_len, coupling, seed=seed)
 
 
-def _coded_words(t, code, c, snr1):
-    """What every bisection probe of a coded point shares, per codeword:
-    its container (payload and slots), the relay's hop-2 waveform, and
-    unit-variance hop-2 noise that each probe rescales by its snr2.
+def _coded_words(t, code, c, snr1, dmc):
+    """What every bisection probe of a coded point shares, as one
+    (container, link) pair per codeword.  The container holds the payload
+    and slots.  The RelayLink carries the encoded word over both hops,
+    the relay splicing its own bits into the relay slots, and holds the
+    hop-2 noise that each probe rescales to its snr2.
 
-    Randomness is pinned per codeword index, so repeated probes see
-    identical bits and noise.
+    Codeword j draws its bits from derived_rng(seed, j, 0) and its link
+    is keyed (seed, j), so repeated probes see identical bits and noise.
     """
-    seed, variant = t["seed"], t["variant"]
+    seed = t["seed"]
     words = []
     for j in range(t["cfg"]["code"]["n_codewords"]):
         cont = plan_container(code, t["f"], t["strategy"])
@@ -296,17 +294,15 @@ def _coded_words(t, code, c, snr1):
         ur = rng_bits.integers(0, 2, size=len(cont.relay_slots), dtype=np.uint8)
         cont.write_source(us)
         sym = c.symbols[indices_for_bits(c, cont.encode())]
-        y1 = transmit(sym, AwgnSegment(snr1), derived_rng(seed, j, 1))
         splice = None
         if len(cont.relay_slots):
             def splice(idx):
                 return indices_for_bits(c, relay_add(cont, bits_for_indices(c, idx), ur))
-        relay_out = relay_forward(c, y1, snr1, variant, splice)
-        words.append((cont, relay_out, complex_noise_unit(derived_rng(seed, j, 2), sym.size)))
+        words.append((cont, RelayLink(c, sym, snr1, t["variant"], (seed, j), dmc, splice)))
     return words
 
 
-def _coded_ber(t, code, c, dmc, snr1, words, bounds, snr2):
+def _coded_ber(t, code, words, bounds, snr2):
     """Info-bit error rate of the words of _coded_words at snr2.
 
     bounds splits code.info_vars by position: those of position p are
@@ -321,12 +317,12 @@ def _coded_ber(t, code, c, dmc, snr1, words, bounds, snr2):
     cc = t["cfg"]["code"]
     total = cc["n_codewords"] * code.k
     errors = 0
-    for cont, relay_out, unit2 in words:
-        y2 = relay_out + math.sqrt(1.0 / snr2) * unit2
-        lam = relay_llrs(c, y2, snr1, snr2, t["variant"], dmc).ravel()
+    for cont, link in words:
+        y2 = link.receive(snr2)
+        lam = link.llrs(y2, snr2).ravel()
         if len(cont.relay_slots):
             # relay-injected positions only crossed hop 2
-            lam = select_llrs(cont, lam, Demapper.conventional(c, snr2).llrs(y2).ravel())
+            lam = select_llrs(cont, lam, Demapper.conventional(link.c, snr2).llrs(y2).ravel())
 
         def failed(pos, bits):
             nonlocal errors
@@ -348,12 +344,12 @@ def _coded_task(t):
     snr1 = 10.0 ** (t["x"] / 10.0)
     dmc = None if t["variant"] == SCALE_RELAY else transition_matrix(
         c, snr1, method=sweep["dmc_method"], mc_samples=sweep["dmc_samples"], seed=t["seed"])
-    words = _coded_words(t, code, c, snr1)
+    words = _coded_words(t, code, c, snr1, dmc)
     bounds = np.searchsorted(code.info_vars, np.arange(code.chain_len + 1) * code.dc * code.q)
     bers = {}
 
     def margin(db):
-        bers[db] = _coded_ber(t, code, c, dmc, snr1, words, bounds, 10.0 ** (db / 10.0))
+        bers[db] = _coded_ber(t, code, words, bounds, 10.0 ** (db / 10.0))
         return cc["ber_target"] - bers[db]
 
     # bisection, not the continuous search: the BER moves in steps, and a

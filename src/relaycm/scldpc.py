@@ -398,9 +398,6 @@ class DecodeResult:
         self.iterations = iterations
         self.posteriors = posteriors
 
-    def info_bits(self, code: SpatiallyCoupledCode) -> np.ndarray:
-        return self.bits[code.info_vars]
-
 
 def _phi(x, out, ceil=_PHI_CEIL):
     # involution -ln tanh(x/2), written log1p(2 / expm1(x)) so that float32

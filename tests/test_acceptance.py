@@ -213,7 +213,7 @@ def test_criterion_08_coded_operation_near_threshold(capsys):
         z = derived_rng(80, j, 1).standard_normal((2, sym.size))
         y = sym + math.sqrt(0.5 / snr) * (z[0] + 1j * z[1])
         res = decode(code, dem.llrs(y).ravel(), window=12, iterations=40)
-        errors += int(np.count_nonzero(res.info_bits(code) != u))
+        errors += int(np.count_nonzero(res.bits[code.info_vars] != u))
         total += code.k
     ber = errors / total
     dt = time.monotonic() - t0

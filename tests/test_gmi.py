@@ -10,6 +10,7 @@ from numpy.polynomial.hermite import hermgauss
 from relaycm.channel import (
     NOISELESS_SNR,
     AwgnSegment,
+    derived_rng,
     power_normalizing_eta,
     scale_relay_equivalent_snr,
     transition_matrix,
@@ -20,11 +21,11 @@ from relaycm.container import SPREAD_POSITIONS, STRATEGIES, plan_container, rela
 from relaycm.demapper import Demapper
 from relaycm.errors import ConfigError
 from relaycm.gmi import (
+    VARIANTS,
     RelayGmiEvaluator,
+    RelayLink,
     gmi_from_llrs,
     optimal_llr_scale,
-    relay_forward,
-    relay_llrs,
     required_snr2_db,
     single_hop_gmi,
 )
@@ -180,19 +181,38 @@ def test_mixture_margin_matches_its_parts():
             ev.mixture_margin(snr2, *bad)
 
 
-def test_relay_llrs_pick_the_variant_demapper():
+def test_relay_link_llrs_pick_the_variant_demapper():
     c = build_constellation("qam16")
     snr1, snr2 = 10 ** 1.5, 10 ** 1.2
     rng = np.random.default_rng(8)
     y2 = (rng.standard_normal(300) + 1j * rng.standard_normal(300)) * 0.7
     dmc = transition_matrix(c, snr1)
+
+    def link(variant, dmc=None):
+        return RelayLink(c, c.symbols, snr1, variant, (8,), dmc)
+
     eta = power_normalizing_eta(snr1)
     scale = Demapper.conventional(c, scale_relay_equivalent_snr(snr1, snr2)).llrs(y2 / eta)
-    assert np.array_equal(relay_llrs(c, y2, snr1, snr2, "scale"), scale)
-    assert np.array_equal(relay_llrs(c, y2, snr1, snr2, "hd_matched", dmc),
+    assert np.array_equal(link("scale").llrs(y2, snr2), scale)
+    assert np.array_equal(link("hd_matched", dmc).llrs(y2, snr2),
                           Demapper.equivalent(c, snr2, dmc).llrs(y2))
-    assert np.array_equal(relay_llrs(c, y2, snr1, snr2, "hd_legacy_sopt"),
+    assert np.array_equal(link("hd_legacy_sopt").llrs(y2, snr2),
                           Demapper.conventional(c, snr2).llrs(y2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), snr1_db=st.floats(-5.0, 40.0),
+       seed=st.integers(0, 2**32 - 1), key_len=st.integers(1, 2),
+       snr2=st.floats(1e-3, NOISELESS_SNR, exclude_max=True))
+def test_relay_link_receives_what_hop_2_transmits(variant, snr1_db, seed, key_len, snr2):
+    # the fixed-noise contract: rescaled unit noise is the hop-2 draw of
+    # the stream derived_rng(*key, 2), at every snr2
+    c = build_constellation("qam16")
+    key = (seed, 3)[:key_len]
+    x = c.symbols[np.random.default_rng(seed).integers(0, c.order, 50)]
+    link = RelayLink(c, x, 10.0 ** (snr1_db / 10.0), variant, key)
+    want = transmit(link.sent, AwgnSegment(snr2), derived_rng(*key, 2))
+    assert np.array_equal(link.receive(snr2), want)
 
 
 @lru_cache(maxsize=1)
@@ -203,7 +223,7 @@ def _code():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), fraction=st.floats(0.0, 1.0),
        strategy=st.sampled_from(STRATEGIES))
-def test_relay_forward_splices_into_a_joint_codeword(seed, fraction, strategy):
+def test_relay_link_splices_into_a_joint_codeword(seed, fraction, strategy):
     c, code = build_constellation("qam16"), _code()
     try:
         cont = plan_container(code, fraction, strategy)
@@ -221,13 +241,13 @@ def test_relay_forward_splices_into_a_joint_codeword(seed, fraction, strategy):
         return indices_for_bits(c, relay_add(cont, bits_for_indices(c, idx), ur))
 
     # a noiseless hop 1: the decided, spliced word is the joint encoding
-    y1 = transmit(sym, AwgnSegment(NOISELESS_SNR), rng)
-    out = relay_forward(c, y1, NOISELESS_SNR, "hd_matched", splice)
+    out = RelayLink(c, sym, NOISELESS_SNR, "hd_matched", (seed,), splice=splice).sent
     assert np.array_equal(out, c.symbols[indices_for_bits(c, code.encode(cont.payload))])
     # a scaling relay only restores unit power
     snr1 = 10.0 ** rng.uniform(0.5, 2.5)
-    y1 = transmit(sym, AwgnSegment(snr1), rng)
-    assert np.array_equal(relay_forward(c, y1, snr1, "scale"), power_normalizing_eta(snr1) * y1)
+    y1 = transmit(sym, AwgnSegment(snr1), derived_rng(seed, 1))
+    assert np.array_equal(RelayLink(c, sym, snr1, "scale", (seed,)).sent,
+                          power_normalizing_eta(snr1) * y1)
 
 
 def test_evaluator_rejects_bad_setup():

@@ -9,12 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaycm import harness
-from relaycm.channel import AwgnSegment, complex_noise_unit, derived_rng, transition_matrix, transmit
+from relaycm.channel import (
+    AwgnSegment,
+    complex_noise_unit,
+    derived_rng,
+    nearest_index,
+    power_normalizing_eta,
+    scale_relay_equivalent_snr,
+    transition_matrix,
+    transmit,
+)
 from relaycm.constellation import bits_for_indices, build_constellation, indices_for_bits
 from relaycm.container import STRATEGIES, plan_container, relay_add, select_llrs
 from relaycm.demapper import Demapper
 from relaycm.errors import ConfigError
-from relaycm.gmi import RelayGmiEvaluator, relay_forward, relay_llrs, required_snr2_db
+from relaycm.gmi import RelayGmiEvaluator, required_snr2_db
 from relaycm.harness import (
     _SCHEMA,
     _point_seed,
@@ -358,7 +367,8 @@ def test_coded_sweep_writes_one_csv_per_variant(tmp_path):
 # The coded point as it was before its snr2-free work moved out of the
 # probe loop and failing probes stopped early: every probe re-plans,
 # re-encodes and decodes every word, and the row evaluates the answer
-# once more.
+# once more.  Hop 1, the relay and hop 2 are built here by hand, so that
+# this also checks the harness's relay link.
 def _reference_coded_ber(t, code, c, dmc, snr1, snr2):
     """(info-bit error rate, decoding iterations) of every word decoded
     in full."""
@@ -372,19 +382,26 @@ def _reference_coded_ber(t, code, c, dmc, snr1, snr2):
         cont.write_source(us)
         sym = c.symbols[indices_for_bits(c, cont.encode())]
         y1 = transmit(sym, AwgnSegment(snr1), derived_rng(seed, j, 1))
-        splice = None
-        if len(cont.relay_slots):
-            def splice(idx):
-                return indices_for_bits(c, relay_add(cont, bits_for_indices(c, idx), ur))
-        relay_out = relay_forward(c, y1, snr1, variant, splice)
+        eta = power_normalizing_eta(snr1)
+        if variant == "scale":
+            relay_out = eta * y1
+        else:
+            idx = nearest_index(y1, c.symbols)
+            if len(cont.relay_slots):
+                idx = indices_for_bits(c, relay_add(cont, bits_for_indices(c, idx), ur))
+            relay_out = c.symbols[idx]
         unit2 = complex_noise_unit(derived_rng(seed, j, 2), sym.size)
         y2 = relay_out + math.sqrt(1.0 / snr2) * unit2
-        lam = relay_llrs(c, y2, snr1, snr2, variant, dmc).ravel()
+        if variant == "scale":
+            dem = Demapper.conventional(c, scale_relay_equivalent_snr(snr1, snr2))
+            lam = dem.llrs(y2 / eta).ravel()
+        else:
+            lam = Demapper.equivalent(c, snr2, dmc).llrs(y2).ravel()
         if len(cont.relay_slots):
             lam = select_llrs(cont, lam, Demapper.conventional(c, snr2).llrs(y2).ravel())
         res = decode(code, lam, window=cc["window"], iterations=cc["iterations"],
                      saturation=cc["saturation"])
-        errors += int(np.count_nonzero(res.info_bits(code) != cont.payload))
+        errors += int(np.count_nonzero(res.bits[code.info_vars] != cont.payload))
         iterations += res.iterations
     return errors / (cc["n_codewords"] * code.k), iterations
 
@@ -494,7 +511,7 @@ n_codewords = 3
     c = build_constellation("qam16")
     snr1 = 10.0 ** 1.6
     dmc = transition_matrix(c, snr1, seed=t["seed"])
-    words = harness._coded_words(t, code, c, snr1)
+    words = harness._coded_words(t, code, c, snr1, dmc)
     bounds = np.searchsorted(code.info_vars, np.arange(code.chain_len + 1) * code.dc * code.q)
     positions, results = [], []
 
@@ -506,7 +523,7 @@ n_codewords = 3
         return results[-1]
 
     monkeypatch.setattr(harness, "decode", watched_decode)
-    ber = harness._coded_ber(t, code, c, dmc, snr1, words, bounds, 10.0 ** -0.2)
+    ber = harness._coded_ber(t, code, words, bounds, 10.0 ** -0.2)
     assert ber > cc["ber_target"]
     # the first word's first position already breaks the target
     assert positions == [0]

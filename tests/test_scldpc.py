@@ -216,7 +216,7 @@ def test_decode_clean_word_is_a_fixed_point():
     x = code.encode(u)
     llrs = 20.0 * (1.0 - 2.0 * x.astype(np.float64))
     res = decode(code, llrs, iterations=1)
-    assert np.array_equal(res.info_bits(code), u)
+    assert np.array_equal(res.bits[code.info_vars], u)
     assert res.converged.all()
     assert res.iterations == code.chain_len
 
@@ -229,7 +229,7 @@ def test_decode_corrects_moderate_noise():
     sigma = 0.55
     y = (1.0 - 2.0 * x) + sigma * rng.standard_normal(code.n)
     res = decode(code, 2.0 * y / sigma ** 2)
-    assert np.array_equal(res.info_bits(code), u)
+    assert np.array_equal(res.bits[code.info_vars], u)
     assert res.converged.all()
     # raw hard decisions were not already clean
     assert ((y < 0) != x.astype(bool)).sum() > 20
@@ -243,7 +243,7 @@ def test_decode_flags_failure_beyond_threshold():
     sigma = 1.4
     y = (1.0 - 2.0 * x) + sigma * rng.standard_normal(code.n)
     res = decode(code, 2.0 * y / sigma ** 2, iterations=8)
-    assert (res.info_bits(code) != u).any()
+    assert (res.bits[code.info_vars] != u).any()
     assert not res.converged.all()
 
 
@@ -256,8 +256,8 @@ def test_wide_window_agrees_on_correctable_words():
     llrs = 2.0 * y / 0.55 ** 2
     small = decode(code, llrs)
     full = decode(code, llrs, window=code.chain_len + code.coupling - 1)
-    assert np.array_equal(small.info_bits(code), u)
-    assert np.array_equal(full.info_bits(code), u)
+    assert np.array_equal(small.bits[code.info_vars], u)
+    assert np.array_equal(full.bits[code.info_vars], u)
 
 
 def test_decode_validation():

@@ -20,10 +20,12 @@ machine.  Each named acceptance criterion then
 runs under ``pytest --durations=0`` on both sides, alternating the same
 way, for ``--criterion-pairs`` pairs.
 
-The output holds every run's result line (the last line that
-``perfbench/run.py`` prints), and per workload, seed and end-to-end metric
-of ``BENCHMARK.json``: each side's median and quartiles over the pairs,
-and in how many pairs the change was better than the parent.
+The output holds both revisions as typed and the commits that they
+resolve to (none for a working tree), every run's result line (the last
+line that ``perfbench/run.py`` prints), and per workload, seed and
+end-to-end metric of ``BENCHMARK.json``: each side's median and
+quartiles over the pairs, and in how many pairs the change was better
+than the parent.
 """
 
 from __future__ import annotations
@@ -44,6 +46,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 _DURATION = re.compile(r"^\s*([0-9.]+)s call\s+\S+::(\S+)")
+
+
+def resolve(rev: str) -> str:
+    """The commit that rev names."""
+    return subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                          capture_output=True, text=True, check=True).stdout.strip()
 
 
 def unpack(rev: str, base: Path) -> Path:
@@ -162,6 +170,8 @@ def main(argv=None) -> int:
 
         doc = {
             "parent": args.parent, "change": args.change or "working tree",
+            "parent_commit": resolve(args.parent),
+            "change_commit": resolve(args.change) if args.change else None,
             "command": "perfbench/run.py --trace 0", "seconds_per_run": seconds,
             "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                         "platform": platform.platform()},
