@@ -15,12 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DmcMatrix
+from .channel import DmcMatrix, nearest_index
 from .constellation import Constellation
 from .errors import ConfigError, NumericalDegeneracyError
 
 LLR_CLIP = 50.0
 _BIN_MAGIC = b"LLRB"
+# rows demapped at a time; a qam32 block's complex distances take 1 MB
+_BLOCK_ROWS = 2048
 
 
 @dataclass(eq=False)
@@ -54,31 +56,37 @@ class Demapper:
     def llrs(self, y) -> np.ndarray:
         """Per-bit LLRs, shape (n, bits_per_symbol).
 
-        Each row's likelihoods are shifted by their maximum before one
-        exp, so the symbol nearest to y weighs exactly 1 and, without a
+        Samples are demapped _BLOCK_ROWS at a time into the output, so
+        working memory does not grow with n.  Each row's likelihoods are
+        shifted by their maximum, read at the slicer's nearest symbol,
+        before one exp, so that symbol weighs exactly 1 and, without a
         relay stage, the bit set holding it sums to at least 1.  The other
         set underflows to 0 only past |LLR| ~ 745, far beyond the clip.
+        A sample that is inf or NaN, or has zero likelihood under every
+        hypothesis, raises NumericalDegeneracyError.
         """
         c = self.constellation
         y = np.atleast_1d(np.asarray(y, dtype=np.complex128))
-        a = np.abs(y[:, None] - c.symbols[None, :]) ** 2
-        a /= -2.0 * self.noise_var
-        amax = a.max(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore"):  # -inf rows are rejected below
-            a -= amax
-        p = np.exp(a, out=a)
-        if self.transition is not None:
-            p = p @ self.transition.probs
         ones = c.labels.astype(np.float64)
-        p0 = p @ (1.0 - ones)
-        p1 = p @ ones
-        if np.any((p0 == 0.0) & (p1 == 0.0)) or np.any(np.isneginf(amax)):
-            raise NumericalDegeneracyError(
-                "sample has zero likelihood under every symbol hypothesis"
-            )
-        with np.errstate(divide="ignore"):
-            out = np.log(p0) - np.log(p1)
-        return np.clip(out, -LLR_CLIP, LLR_CLIP)
+        out = np.empty((len(y), c.bits_per_symbol))
+        for i in range(0, len(y), _BLOCK_ROWS):
+            yb = y[i:i + _BLOCK_ROWS]
+            a = np.abs(yb[:, None] - c.symbols[None, :]) ** 2
+            a /= -2.0 * self.noise_var
+            amax = np.take_along_axis(a, nearest_index(yb, c.symbols)[:, None], axis=1)
+            with np.errstate(invalid="ignore"):  # non-finite rows are rejected below
+                a -= amax
+            p = np.exp(a, out=a)
+            if self.transition is not None:
+                p = p @ self.transition.probs
+            p0 = p @ (1.0 - ones)
+            p1 = p @ ones
+            if np.any((p0 == 0.0) & (p1 == 0.0)) or not np.isfinite(amax).all():
+                raise NumericalDegeneracyError("sample is not finite or has zero "
+                                               "likelihood under every symbol hypothesis")
+            with np.errstate(divide="ignore"):
+                np.subtract(np.log(p0), np.log(p1), out=out[i:i + _BLOCK_ROWS])
+        return np.clip(out, -LLR_CLIP, LLR_CLIP, out=out)
 
 
 def save_llrs_csv(path, llrs: np.ndarray) -> None:

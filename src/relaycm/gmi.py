@@ -85,14 +85,22 @@ def _estimate(loss: np.ndarray) -> GmiEstimate:
     )
 
 
+def _signed_metrics(llrs: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """z = (1 - 2b) * llr, built in one float64 array of the bits' shape."""
+    z = np.multiply(bits, -2.0, dtype=np.float64)
+    z += 1.0
+    return np.multiply(z, llrs, out=z)
+
+
 def gmi_from_llrs(llrs: np.ndarray, bits: np.ndarray) -> GmiEstimate:
     """Estimate the rate from paired (llrs, sent bits), both (n, m)."""
     llrs = np.atleast_2d(llrs)
     bits = np.atleast_2d(bits)
     if llrs.shape != bits.shape:
         raise ConfigError("llrs and bits shapes differ")
-    z = (1.0 - 2.0 * bits.astype(np.float64)) * llrs
-    return _estimate(np.logaddexp(0.0, -z) / _LN2)
+    z = _signed_metrics(llrs, bits)
+    np.logaddexp(0.0, np.negative(z, out=z), out=z)
+    return _estimate(np.divide(z, _LN2, out=z))
 
 
 def optimal_llr_scale(llrs: np.ndarray, bits: np.ndarray, tol: float = 1e-6) -> ScaleResult:
@@ -129,19 +137,21 @@ def optimal_llr_scale(llrs: np.ndarray, bits: np.ndarray, tol: float = 1e-6) -> 
     llrs = np.atleast_2d(llrs)
     bits = np.atleast_2d(bits)
     m = llrs.shape[1]
-    z = ((1.0 - 2.0 * bits.astype(np.float64)) * llrs).ravel()
+    z = _signed_metrics(llrs, bits).ravel()
 
     def result(zeta, degenerate=False):
-        loss = np.logaddexp(0.0, -zeta * z)
-        return ScaleResult(scale=zeta, loss=float(loss.mean()) * m / _LN2,
-                           bit_losses=(loss / _LN2).reshape(llrs.shape), degenerate=degenerate)
+        loss = z * -zeta
+        np.logaddexp(0.0, loss, out=loss)
+        total = float(loss.mean()) * m / _LN2
+        return ScaleResult(scale=zeta, loss=total, degenerate=degenerate,
+                           bit_losses=np.divide(loss, _LN2, out=loss).reshape(llrs.shape))
 
     unit = float(np.abs(z).max())
     if unit == 0.0:
         return result(0.0, degenerate=True)
-    u = z / unit
-    w = np.abs(u)
-    wrong = -float(np.minimum(u, 0.0).sum())
+    w = z / unit
+    wrong = -float(np.minimum(w, 0.0).sum())
+    np.abs(w, out=w)
     if wrong == 0.0:
         zeta = _SEPARATED / (unit * float(w[w > 0.0].min()))
         return result(zeta)
@@ -151,18 +161,20 @@ def optimal_llr_scale(llrs: np.ndarray, bits: np.ndarray, tol: float = 1e-6) -> 
 
     lo, hi = 0.0, np.inf
     t = (half - wrong) / (0.25 * float(w @ w))
+    e = np.empty_like(w)  # exp(-t w), then r = e / (1 + e), then w r
+    d = np.empty_like(w)  # 1 + e, then w / (1 + e)
     for _ in range(_MAX_STEPS):
-        e = np.exp(w * -t)
-        d = 1.0 + e
-        r = e / d
-        phi = float(w @ r)
+        np.exp(np.multiply(w, -t, out=e), out=e)
+        np.add(e, 1.0, out=d)
+        e /= d
+        phi = float(w @ e)
         if phi > wrong:
             lo = t
         elif phi < wrong:
             hi = t
         else:
             break
-        dphi = float((w * r) @ (w / d))
+        dphi = float(np.multiply(e, w, out=e) @ np.divide(w, d, out=d))
         step = phi * np.log(phi / wrong) / dphi if phi > 0.0 and dphi > 0.0 else np.nan
         nxt = t + step
         if not lo < nxt < hi:

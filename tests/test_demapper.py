@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 from relaycm.channel import DmcMatrix, transition_matrix
 from relaycm.constellation import Constellation, build_constellation
 from relaycm.demapper import (
+    _BLOCK_ROWS,
     LLR_CLIP,
     Demapper,
     load_llrs_bin,
@@ -153,6 +154,78 @@ def test_identity_transition_matches_conventional(case):
     eye = DmcMatrix(probs=np.eye(c.order))
     np.testing.assert_array_equal(Demapper.equivalent(c, snr, eye).llrs(y),
                                   Demapper.conventional(c, snr).llrs(y))
+
+
+def _demapper(name, snr, equivalent, seed=0):
+    c = build_constellation(name)
+    if not equivalent:
+        return Demapper.conventional(c, snr)
+    w = np.random.default_rng(seed).dirichlet(np.ones(c.order), size=c.order).T
+    return Demapper.equivalent(c, snr, DmcMatrix(probs=w))
+
+
+def _max_shift_llrs(dm, y):
+    # the demapper's arithmetic in one pass, with the row max taken by a.max
+    c = dm.constellation
+    a = np.abs(y[:, None] - c.symbols[None, :]) ** 2
+    a /= -2.0 * dm.noise_var
+    a -= a.max(axis=1, keepdims=True)
+    p = np.exp(a, out=a)
+    if dm.transition is not None:
+        p = p @ dm.transition.probs
+    ones = c.labels.astype(np.float64)
+    with np.errstate(divide="ignore"):
+        out = np.log(p @ (1.0 - ones)) - np.log(p @ ones)
+    return np.clip(out, -LLR_CLIP, LLR_CLIP)
+
+
+def _awkward_axis(levels, n, rng):
+    # a mix of symbol levels, decision lines (level midpoints), draws
+    # inside the lattice and draws far outside it
+    r = levels.max()
+    mids = 0.5 * (levels[:-1] + levels[1:])
+    far = rng.choice([-1.0, 1.0], n) * r * 10.0 ** rng.uniform(1.0, 4.0, n)
+    pool = np.stack([rng.choice(levels, n), rng.choice(mids, n),
+                     rng.uniform(-1.2 * r, 1.2 * r, n), far])
+    return pool[rng.integers(0, 4, n), np.arange(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["qam16", "qam32"]), snr_db=st.floats(-5.0, 40.0),
+       n=st.integers(1, _BLOCK_ROWS), equivalent=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_slicer_row_max_matches_the_plain_row_max(name, snr_db, n, equivalent, seed):
+    dm = _demapper(name, 10.0 ** (snr_db / 10.0), equivalent, seed)
+    s = dm.constellation.symbols
+    rng = np.random.default_rng(seed)
+    y = (_awkward_axis(np.unique(s.real), n, rng)
+         + 1j * _awkward_axis(np.unique(s.imag), n, rng))
+    np.testing.assert_array_equal(dm.llrs(y), _max_shift_llrs(dm, y))
+
+
+@pytest.mark.parametrize("equivalent", [False, True])
+@pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                               2 * _BLOCK_ROWS + 1])
+def test_blocks_demap_like_their_slices(n, equivalent):
+    dm = _demapper("qam16", 10.0, equivalent)
+    y = _received(dm.constellation, 10.0, n, np.random.default_rng(n))
+    out = dm.llrs(y)
+    assert out.shape == (n, 4)
+    for i in range(0, n, _BLOCK_ROWS):
+        np.testing.assert_array_equal(out[i:i + _BLOCK_ROWS], dm.llrs(y[i:i + _BLOCK_ROWS]))
+
+
+@pytest.mark.parametrize("equivalent", [False, True])
+@pytest.mark.parametrize("row", [0, _BLOCK_ROWS + 7])
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.5, np.nan),
+                                 complex(np.inf, 0.0), complex(0.5, -np.inf)])
+def test_non_finite_samples_raise(bad, row, equivalent):
+    dm = _demapper("qam32", 10.0, equivalent)
+    y = _received(dm.constellation, 10.0, 2 * _BLOCK_ROWS + 1, np.random.default_rng(2))
+    assert np.isfinite(dm.llrs(y)).all()
+    y[row] = bad
+    with pytest.raises(NumericalDegeneracyError):
+        dm.llrs(y)
 
 
 def test_invalid_construction():
