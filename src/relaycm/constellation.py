@@ -1,20 +1,21 @@
 """QAM constellations and their bit labelings.
 
-Symbol indexing is row-major over the I/Q grid: the imaginary level sweeps
-slowest from most negative upward, the real level fastest.  Labels are bit
-vectors with bit level 1 as the most significant bit.
+Each supported constellation is defined by the plain-text table shipped
+in ``relaycm.data``; build_constellation reads it.  Symbol indexing is
+row-major over the I/Q grid: the imaginary level sweeps slowest from
+most negative upward, the real level fastest.  Labels are bit vectors
+with bit level 1 as the most significant bit.
 
-16QAM applies an independent Gray code on each axis (amplitude levels
--3,-1,+1,+3 map to 00,01,11,10), so bits 1-2 select the real level and
-bits 3-4 the imaginary level.  Bit level 1 is then the sign of the real
-part, which several tests rely on.
+The 16QAM table (qam16_gray.txt) applies an independent Gray code on
+each axis (amplitude levels -3,-1,+1,+3 map to 00,01,11,10), so bits 1-2
+select the real level and bits 3-4 the imaginary level.  Bit level 1 is
+then the sign of the real part, which several tests rely on.
 
-32QAM is the 6x6 cross with the four corners removed.  No perfect Gray
-map exists for a cross; the labeling used here folds the four two-point
-wings onto the short sides of a virtual 8x4 rectangle and Gray-codes that
-rectangle per axis (3 bits horizontal, 2 bits vertical).  The resulting
-table is quasi-Gray, balanced on every bit level, and is also shipped as
-a plain-text data file so downstream results stay reproducible.
+The 32QAM table (qam32_gmi32.txt) is the 6x6 cross with the four corners
+removed.  No perfect Gray map exists for a cross; its labeling folds the
+four two-point wings onto the short sides of a virtual 8x4 rectangle and
+Gray-codes that rectangle per axis (3 bits horizontal, 2 bits vertical).
+The result is quasi-Gray and balanced on every bit level.
 """
 
 from __future__ import annotations
@@ -31,16 +32,7 @@ QAM32 = "qam32"
 
 ENERGY_TOL = 1e-12
 
-# Reflected binary sequences for 4 and 8 levels.
-_GRAY4 = (0, 1, 3, 2)
-_GRAY8 = (0, 1, 3, 2, 6, 7, 5, 4)
-
-# Wing fold for the 32-cross: (re_level, im_level) on the 6x6 grid -> (u, v)
-# on the 8x4 rectangle.  Inner points use u = re_level + 1, v = im_level - 1.
-_CROSS_WING = {
-    (1, 0): (0, 0), (2, 0): (0, 1), (2, 5): (0, 2), (1, 5): (0, 3),
-    (4, 0): (7, 0), (3, 0): (7, 1), (3, 5): (7, 2), (4, 5): (7, 3),
-}
+_TABLES = {QAM16: "qam16_gray.txt", QAM32: "qam32_gmi32.txt"}
 
 
 @dataclass(eq=False)
@@ -140,52 +132,13 @@ class Constellation:
         return cls(name=name, symbols=symbols, labels=labels)
 
 
-def _int_to_bits(value: int, width: int) -> list:
-    return [(value >> (width - 1 - k)) & 1 for k in range(width)]
-
-
-def _build_qam16() -> Constellation:
-    levels = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
-    symbols = np.empty(16, dtype=complex)
-    labels = np.empty((16, 4), dtype=np.uint8)
-    for row in range(4):          # imaginary level, most negative first
-        for col in range(4):      # real level
-            i = row * 4 + col
-            symbols[i] = levels[col] + 1j * levels[row]
-            labels[i] = _int_to_bits(_GRAY4[col], 2) + _int_to_bits(_GRAY4[row], 2)
-    return Constellation(name="qam16-gray", symbols=symbols, labels=labels)
-
-
-def _build_qam32() -> Constellation:
-    levels = np.array([-5.0, -3.0, -1.0, 1.0, 3.0, 5.0]) / np.sqrt(20.0)
-    points = []
-    for row in range(6):
-        for col in range(6):
-            if row in (0, 5) and col in (0, 5):
-                continue
-            points.append((row, col))
-    symbols = np.empty(32, dtype=complex)
-    labels = np.empty((32, 5), dtype=np.uint8)
-    for i, (row, col) in enumerate(points):
-        symbols[i] = levels[col] + 1j * levels[row]
-        if 1 <= row <= 4:
-            u, v = col + 1, row - 1
-        else:
-            u, v = _CROSS_WING[(col, row)]
-        labels[i] = _int_to_bits(_GRAY8[u], 3) + _int_to_bits(_GRAY4[v], 2)
-    return Constellation(name="qam32-gmi32", symbols=symbols, labels=labels)
-
-
 def build_constellation(fmt: str = QAM16) -> Constellation:
-    """Construct a supported constellation with the one labeling shipped
-    for it: "qam16" (Gray) or "qam32" (the GMI-optimized 32 cross)."""
+    """Load a supported constellation from its shipped table: "qam16"
+    (Gray) or "qam32" (the GMI-optimized 32 cross)."""
     fmt = str(fmt).lower()
-    if fmt == QAM16:
-        c = _build_qam16()
-    elif fmt == QAM32:
-        c = _build_qam32()
-    else:
+    if fmt not in _TABLES:
         raise ConfigError(f"unknown constellation format {fmt!r}")
+    c = Constellation.from_table(packaged_table(_TABLES[fmt]))
     c.validate()
     return c
 

@@ -156,6 +156,8 @@ def _validate(cfg):
     run, link, sweep, code = cfg["run"], cfg["link"], cfg["sweep"], cfg["code"]
     if run["kind"] and run["kind"] not in KINDS:
         raise ConfigError(f"unknown run kind {run['kind']!r}")
+    if run["seed"] < 0 or code["seed"] < 0:
+        raise ConfigError("seeds cannot be negative")
     if link["constellation"] not in ("qam16", "qam32"):
         raise ConfigError(f"unknown constellation {link['constellation']!r}")
     for v in link["variants"]:
@@ -574,6 +576,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["run"]["seed"] = args.seed
+            _validate(cfg)
         kind = args.verb.replace("-", "_")
         if cfg["run"]["kind"] and cfg["run"]["kind"] != kind:
             raise ConfigError(

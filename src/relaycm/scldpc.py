@@ -215,25 +215,9 @@ class SpatiallyCoupledCode:
         self.rate = self.k / self.n
         self.slot_var, self.var_slot = layout
         self._tail_transform, self._tail_pivots, self._tail_rank = tail_solver
-        self.info_vars = self._info_vars()
-        self.tail_vars = self._tail_vars()
-
-    def _info_vars(self):
-        q, dc, dv, L, w = self.q, self.dc, self.dv, self.chain_len, self.coupling
-        parts = []
-        for tau in range(L):
-            n_info = dc - dv if tau <= L - w else dc - 2 * dv
-            base = tau * dc * q
-            parts.append(np.arange(base, base + n_info * q))
-        return np.concatenate(parts)
-
-    def _tail_vars(self):
-        q, dc, dv, L, w = self.q, self.dc, self.dv, self.chain_len, self.coupling
-        parts = []
-        for tau in range(L - w + 1, L):
-            base = (tau * dc + dc - 2 * dv) * q
-            parts.append(np.arange(base, base + 2 * dv * q))
-        return np.concatenate(parts) if parts else np.array([], dtype=np.int64)
+        role = _var_roles(q, chain_len, coupling, dv, dc)
+        self.info_vars = np.flatnonzero(role == 0)
+        self.tail_vars = np.flatnonzero(role == 2)
 
     def _parity(self, x, chk0, chk1):
         """Parities of checks chk0..chk1-1 of a word x that carries a 0 at
@@ -329,21 +313,29 @@ def _slot_layout(q, chain_len, coupling, dv, dc, edge_var, edge_check):
     return slot_var, var_slot
 
 
+def _var_roles(q, chain_len, coupling, dv, dc):
+    """Role of every variable: 0 info, 1 interior parity, 2 tail unknown.
+
+    Each position's last dv columns are parity, except in the last w-1
+    positions, whose last 2*dv columns are unknowns of the termination
+    system."""
+    role = np.zeros((chain_len, dc), dtype=np.uint8)
+    role[:, dc - dv:] = 1
+    role[chain_len - coupling + 1:, dc - 2 * dv:] = 2
+    return np.repeat(role.ravel(), q)
+
+
 def _tail_system(q, chain_len, coupling, dv, dc, edge_var, edge_check):
-    L, w = chain_len, coupling
-    n_tail = 2 * dv * (w - 1) * q
-    chk0 = (L - w + 1) * dv * q
-    # the list runs position by position, and the unknowns sit in the
-    # last w-1 positions, whose checks all lie at chk0 or later
-    lo = (L - w + 1) * dc * dv * q
-    ev = edge_var[lo:]
-    c = (ev // q) % dc
-    unknown = c >= dc - 2 * dv
-    tau = ev[unknown] // (dc * q)
-    rows = edge_check[lo:][unknown] - chk0
-    cols = (tau - (L - w + 1)) * 2 * dv * q + ev[unknown] - (tau * dc + dc - 2 * dv) * q
-    m = np.zeros((n_tail, n_tail), dtype=np.uint8)
-    np.add.at(m, (rows, cols), 1)
+    tail = np.flatnonzero(_var_roles(q, chain_len, coupling, dv, dc) == 2)
+    col = np.full(dc * q * chain_len, -1, dtype=np.int64)
+    col[tail] = np.arange(len(tail))
+    # the unknowns sit in the last w-1 positions, whose checks all lie at
+    # chk0 or later
+    chk0 = (chain_len - coupling + 1) * dv * q
+    cols = col[edge_var]
+    unknown = cols >= 0
+    m = np.zeros((len(tail), len(tail)), dtype=np.uint8)
+    np.add.at(m, (edge_check[unknown] - chk0, cols[unknown]), 1)
     m %= 2
     return m
 

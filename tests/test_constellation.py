@@ -6,7 +6,6 @@ from relaycm.constellation import (
     bits_for_indices,
     build_constellation,
     indices_for_bits,
-    packaged_table,
 )
 from relaycm.errors import ConfigError
 
@@ -63,6 +62,28 @@ def test_qam32_is_cross_without_corners():
     assert pts == full - corners
 
 
+def test_qam32_labels_are_quasi_gray():
+    # of the cross's 52 unit-spacing neighbour pairs, 44 differ in one
+    # label bit and 8 in two; the 38 pairs inside the four inner rows all
+    # differ in one, so the 8 touch the top or bottom row
+    c = build_constellation("qam32")
+    scaled = c.symbols * np.sqrt(20.0)
+    col = np.round((scaled.real + 5) / 2).astype(int)
+    row = np.round((scaled.imag + 5) / 2).astype(int)
+    ints = c.label_ints()
+    flips, inner = [], 0
+    for i in range(32):
+        for j in range(i + 1, 32):
+            if abs(col[i] - col[j]) + abs(row[i] - row[j]) == 1:
+                d = bin(int(ints[i]) ^ int(ints[j])).count("1")
+                flips.append(d)
+                if 1 <= min(row[i], row[j]) and max(row[i], row[j]) <= 4:
+                    assert d == 1
+                    inner += 1
+    assert np.bincount(flips).tolist() == [0, 44, 8]
+    assert inner == 38
+
+
 def test_index_of_label_inverts_labels():
     for name in ("qam16", "qam32"):
         c = build_constellation(name)
@@ -96,14 +117,6 @@ def test_table_round_trip_is_bit_exact():
     for name in ("qam16", "qam32"):
         c = build_constellation(name)
         c2 = Constellation.from_table(c.to_table())
-        assert np.array_equal(c.symbols, c2.symbols)
-        assert np.array_equal(c.labels, c2.labels)
-
-
-def test_packaged_tables_match_builders():
-    for name, fname in (("qam16", "qam16_gray.txt"), ("qam32", "qam32_gmi32.txt")):
-        c = build_constellation(name)
-        c2 = Constellation.from_table(packaged_table(fname))
         assert np.array_equal(c.symbols, c2.symbols)
         assert np.array_equal(c.labels, c2.labels)
 

@@ -164,6 +164,16 @@ def test_main_error_paths(tmp_path):
     assert main(["coded-contour", "--config", str(bad_code),
                  "--out", str(tmp_path / "o3")]) == 2
     assert not list((tmp_path / "o3").iterdir())
+    # a negative seed, from [run], from [code] or from --seed, once died in
+    # np.random.SeedSequence with a traceback
+    small = _write(tmp_path / "ok.ini", _SMALL_CODED)
+    neg_run = _write(tmp_path / "r.ini", _SMALL_CODED.replace("seed = 6", "seed = -1"))
+    neg_code = _write(tmp_path / "n.ini", _SMALL_CODED + "seed = -3\n")
+    for ini, extra, out in ((neg_run, [], "o5"), (small, ["--seed", "-2"], "o6"),
+                            (neg_code, [], "o7")):
+        assert main(["coded-contour", "--config", str(ini), *extra,
+                     "--out", str(tmp_path / out)]) == 2
+        assert not list((tmp_path / out).iterdir())
     # the 32-cross has no analytic transition matrix, and analytic is the
     # default method
     cross = _write(tmp_path / "x.ini", "[link]\nconstellation = qam32\n"
