@@ -322,7 +322,8 @@ def _cells(points: np.ndarray, tol: float = 0.0):
     and every point's (col, row) cell, or None if two points share a cell."""
     re, col = _axis_levels(points.real, tol)
     im, row = _axis_levels(points.imag, tol)
-    if len(np.unique(row * len(re) + col)) != len(points):
+    # a set, not numpy's unique, which imports numpy.ma
+    if len(set((row * len(re) + col).tolist())) != len(points):
         return None
     return re, im, col, row
 

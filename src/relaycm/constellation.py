@@ -32,7 +32,7 @@ QAM32 = "qam32"
 
 ENERGY_TOL = 1e-12
 
-_TABLES = {QAM16: "qam16_gray.txt", QAM32: "qam32_gmi32.txt"}
+TABLES = {QAM16: "qam16_gray.txt", QAM32: "qam32_gmi32.txt"}
 
 
 @dataclass(eq=False)
@@ -81,7 +81,8 @@ class Constellation:
         if abs(self.mean_energy() - 1.0) > ENERGY_TOL:
             raise ConfigError(f"mean symbol energy {self.mean_energy()!r} is not 1")
         ints = self.label_ints()
-        if len(np.unique(ints)) != self.order:
+        # a set, not numpy's unique, which imports numpy.ma
+        if len(set(ints.tolist())) != self.order:
             raise ConfigError("bit labels are not distinct")
 
     def to_table(self) -> str:
@@ -134,11 +135,11 @@ class Constellation:
 
 def build_constellation(fmt: str = QAM16) -> Constellation:
     """Load a supported constellation from its shipped table: "qam16"
-    (Gray) or "qam32" (the GMI-optimized 32 cross)."""
-    fmt = str(fmt).lower()
-    if fmt not in _TABLES:
+    (Gray) or "qam32" (the GMI-optimized 32 cross).  Names are exact and
+    lower case."""
+    if fmt not in TABLES:
         raise ConfigError(f"unknown constellation format {fmt!r}")
-    c = Constellation.from_table(packaged_table(_TABLES[fmt]))
+    c = Constellation.from_table(packaged_table(TABLES[fmt]))
     c.validate()
     return c
 

@@ -57,21 +57,26 @@ class Demapper:
         """Per-bit LLRs, shape (n, bits_per_symbol).
 
         Samples are demapped _BLOCK_ROWS at a time into the output, so
-        working memory does not grow with n.  Each row's likelihoods are
-        shifted by their maximum, read at the slicer's nearest symbol,
-        before one exp, so that symbol weighs exactly 1 and, without a
-        relay stage, the bit set holding it sums to at least 1.  The other
-        set underflows to 0 only past |LLR| ~ 745, far beyond the clip.
-        A sample that is inf or NaN, or has zero likelihood under every
-        hypothesis, raises NumericalDegeneracyError.
+        working memory does not grow with n; a block's complex differences
+        and distances go into two arrays allocated once per call.  Each
+        row's likelihoods are shifted by their maximum, read at the
+        slicer's nearest symbol, before one exp, so that symbol weighs
+        exactly 1 and, without a relay stage, the bit set holding it sums
+        to at least 1.  The other set underflows to 0 only past |LLR| ~
+        745, far beyond the clip.  A sample that is inf or NaN, or has zero
+        likelihood under every hypothesis, raises NumericalDegeneracyError.
         """
         c = self.constellation
         y = np.atleast_1d(np.asarray(y, dtype=np.complex128))
         ones = c.labels.astype(np.float64)
         out = np.empty((len(y), c.bits_per_symbol))
+        diff = np.empty((min(len(y), _BLOCK_ROWS), c.order), dtype=np.complex128)
+        dist = np.empty(diff.shape)
         for i in range(0, len(y), _BLOCK_ROWS):
             yb = y[i:i + _BLOCK_ROWS]
-            a = np.abs(yb[:, None] - c.symbols[None, :]) ** 2
+            d, a = diff[:len(yb)], dist[:len(yb)]
+            np.subtract(yb[:, None], c.symbols[None, :], out=d)
+            np.square(np.abs(d, out=a), out=a)
             a /= -2.0 * self.noise_var
             amax = np.take_along_axis(a, nearest_index(yb, c.symbols)[:, None], axis=1)
             with np.errstate(invalid="ignore"):  # non-finite rows are rejected below

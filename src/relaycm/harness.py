@@ -32,7 +32,13 @@ from .channel import (
     nearest_index,  # unused here; perfbench/spans.py wraps harness.nearest_index
     transition_matrix,
 )
-from .constellation import bits_for_indices, build_constellation, indices_for_bits, packaged_table
+from .constellation import (
+    TABLES,
+    bits_for_indices,
+    build_constellation,
+    indices_for_bits,
+    packaged_table,
+)
 from .container import STRATEGIES, plan_container, relay_add, select_llrs
 from .demapper import Demapper, piecewise_linear_fit
 from .errors import ConfigError, NumericalDegeneracyError
@@ -158,7 +164,7 @@ def _validate(cfg):
         raise ConfigError(f"unknown run kind {run['kind']!r}")
     if run["seed"] < 0 or code["seed"] < 0:
         raise ConfigError("seeds cannot be negative")
-    if link["constellation"] not in ("qam16", "qam32"):
+    if link["constellation"] not in TABLES:
         raise ConfigError(f"unknown constellation {link['constellation']!r}")
     for v in link["variants"]:
         if v not in VARIANTS:

@@ -110,27 +110,29 @@ def _greedy_offsets(q, w, dv, dc, rng):
     return offsets, violations
 
 
-def _gf2_solver(m: np.ndarray):
-    """Row reduce m over GF(2), returning (transform, pivot_cols, rank)
-    with transform @ m in reduced echelon form.
+def _gf2_solver(words: np.ndarray, n_cols: int):
+    """Row reduce the n_cols-column GF(2) matrix m whose rows are words,
+    returning (transform, pivot_cols, rank) with transform @ m in reduced
+    echelon form.
 
-    Rows of [m | I] are packed 64 columns to a word, each half from a word
-    boundary, and eliminated one word-wide panel of columns at a time
-    (the "Four Russians" update of Albrecht, Bard and Hart, ACM TOMS
-    37(1), 2010).  Inside a panel the pivot search and the row operations
-    touch one word per row: the row's panel word, and a mask of the pivot
-    rows, as they stood when the panel began, that went into it.  At the
-    panel's end the full rows catch up at once: the row swaps as one
-    permutation, then per 8 pivots a 256-entry table of their XORs, one
-    gather and one XOR.  The swaps and XORs are those of plain Gauss-Jordan
-    elimination, column by column, so the transform is too.
+    Rows come and go packed 64 columns to a little-endian uint64 word,
+    column j in bit j % 64 of word j // 64; the transform is n_rows
+    columns wide.  Rows of [m | I], each half from a word boundary, are
+    eliminated one word-wide panel of columns at a time (the "Four
+    Russians" update of Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
+    Inside a panel the pivot search and the row operations touch one word
+    per row: the row's panel word, and a mask of the pivot rows, as they
+    stood when the panel began, that went into it.  At the panel's end
+    the full rows catch up at once: the row swaps as one permutation, then
+    per 8 pivots a 256-entry table of their XORs, one gather and one XOR.
+    The swaps and XORs are those of plain Gauss-Jordan elimination, column
+    by column, so the transform is too.
     """
-    n_rows, n_cols = m.shape
-    wm, wt = -(-n_cols // 64), -(-n_rows // 64)
+    n_rows, wm = words.shape
+    wt = -(-n_rows // 64)
     own = np.uint64(1) << np.arange(64, dtype=np.uint64)
     a = np.zeros((n_rows, wm + wt), dtype="<u8")
-    packed = np.packbits(m % 2, axis=1, bitorder="little")
-    a.view(np.uint8)[:, :packed.shape[1]] = packed
+    a[:, :wm] = words
     rows = np.arange(n_rows)
     a[rows, wm + rows // 64] = own[rows % 64]
     # panel state, one row per word: each row's panel word, then its mask
@@ -187,9 +189,7 @@ def _gf2_solver(m: np.ndarray):
         a[:, w:] = a_w
         if r == n_rows:
             break
-    t = np.unpackbits(np.ascontiguousarray(a[:, wm:]).view(np.uint8), axis=1,
-                      bitorder="little")[:, :n_rows]
-    return t, np.array(pivots, dtype=np.int64), r
+    return np.ascontiguousarray(a[:, wm:]), np.array(pivots, dtype=np.int64), r
 
 
 class SpatiallyCoupledCode:
@@ -198,7 +198,10 @@ class SpatiallyCoupledCode:
     slot_var[s, c] is the variable on slot s of check c; slots past a
     check's degree hold the sentinel n.  var_slot[k, v] is the flat
     position s * n_checks + c of variable v's k-th edge, in ascending
-    check order.
+    check order.  Both are int32, half the bytes of intp; decode copies
+    each step's slice into intp buffers for np.take.  The termination
+    solve's transform is held packed as _gf2_solver returns it, one bit
+    per entry in uint64 words.
     """
 
     def __init__(self, q, chain_len, coupling, dv, dc, offsets, girth, layout, tail_solver):
@@ -237,8 +240,12 @@ class SpatiallyCoupledCode:
             base = (t * dc + dc - dv + r) * q
             x[base:base + q] = self._parity(x, cls * q, (cls + 1) * q)
         rhs = self._parity(x, (L - w + 1) * dv * q, self.n_checks)
-        # uint8 sums wrap mod 256, which keeps their parity
-        y = (self._tail_transform @ rhs) % 2
+        packed = np.zeros(8 * self._tail_transform.shape[1], dtype=np.uint8)
+        packed[:-(-len(rhs) // 8)] = np.packbits(rhs, bitorder="little")
+        # bit i of the product is the parity of row i AND rhs: XOR its words,
+        # then the 64 bits of the result
+        v = np.bitwise_xor.reduce(self._tail_transform & packed.view("<u8"), axis=1)
+        y = np.bitwise_xor.reduce(np.unpackbits(v.view(np.uint8)).reshape(-1, 64), axis=1)
         if np.any(y[self._tail_rank:]):
             raise RuntimeError("termination system inconsistent; corrupted build")
         # the tail is still all zero; free variables stay so
@@ -300,14 +307,14 @@ def _slot_layout(q, chain_len, coupling, dv, dc, edge_var, edge_check):
     blk[np.argsort(cls, kind="stable")] = np.arange(len(cls))
     blk -= (np.cumsum(per_cls) - per_cls)[cls]
     slot = np.repeat(blk, q)
-    slot_var = np.full((per_cls.max(), n_checks), n, dtype=np.int64)
+    slot_var = np.full((per_cls.max(), n_checks), n, dtype=np.int32)
     slot_var[slot, edge_check] = edge_var
     slot *= n_checks
     slot += edge_check
     # a variable's checks ascend in an order that depends on its column
     # alone, the order of their classes
     rank = cls[:dc * dv].reshape(dc, dv).argsort(axis=1).argsort(axis=1)
-    var_slot = np.empty((dv, n), dtype=np.int64)
+    var_slot = np.empty((dv, n), dtype=np.int32)
     np.put_along_axis(var_slot.reshape(dv, chain_len, dc, q).transpose(1, 2, 0, 3),
                       rank[None, :, :, None], slot.reshape(chain_len, dc, dv, q), axis=2)
     return slot_var, var_slot
@@ -325,19 +332,21 @@ def _var_roles(q, chain_len, coupling, dv, dc):
     return np.repeat(role.ravel(), q)
 
 
-def _tail_system(q, chain_len, coupling, dv, dc, edge_var, edge_check):
-    tail = np.flatnonzero(_var_roles(q, chain_len, coupling, dv, dc) == 2)
-    col = np.full(dc * q * chain_len, -1, dtype=np.int64)
-    col[tail] = np.arange(len(tail))
-    # the unknowns sit in the last w-1 positions, whose checks all lie at
-    # chk0 or later
-    chk0 = (chain_len - coupling + 1) * dv * q
-    cols = col[edge_var]
-    unknown = cols >= 0
-    m = np.zeros((len(tail), len(tail)), dtype=np.uint8)
-    np.add.at(m, (edge_check[unknown] - chk0, cols[unknown]), 1)
-    m %= 2
-    return m
+def _tail_system(q, chain_len, coupling, dv, dc, edge_check):
+    """The square termination system in _gf2_solver's packed rows: row i
+    is check chk0 + i, column j the j-th tail unknown of _var_roles."""
+    # the unknowns are the last 2*dv columns of the last w-1 positions.  The
+    # list runs along (tau, c, r, lane), so their edges lie in its tail, and
+    # they meet only checks at chk0 or later.
+    t0 = chain_len - coupling + 1
+    chk0 = t0 * dv * q
+    chk = edge_check[t0 * dc * dv * q:].reshape(coupling - 1, dc, dv, q)[:, dc - 2 * dv:]
+    n_tail = (coupling - 1) * 2 * dv * q
+    col = np.broadcast_to(np.arange(n_tail).reshape(coupling - 1, 2 * dv, 1, q), chk.shape)
+    words = np.zeros((n_tail, -(-n_tail // 64)), dtype="<u8")
+    np.bitwise_xor.at(words, ((chk - chk0).ravel(), (col >> 6).ravel()),
+                      np.uint64(1) << (col & 63).astype(np.uint64).ravel())
+    return words
 
 
 def build_code(q: int, chain_len: int, coupling: int, seed: int = 0,
@@ -363,15 +372,17 @@ def build_code(q: int, chain_len: int, coupling: int, seed: int = 0,
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt,)))
         offsets, violations = _greedy_offsets(q, coupling, dv, dc, rng)
         edges = _build_edges(q, chain_len, coupling, dv, dc, offsets)
-        m = _tail_system(q, chain_len, coupling, dv, dc, *edges)
-        transform, pivots, rank = _gf2_solver(m)
-        if m.shape[0] - rank == dv - 1:
+        system = _tail_system(q, chain_len, coupling, dv, dc, edges[1])
+        transform, pivots, rank = _gf2_solver(system, len(system))
+        if len(system) - rank == dv - 1:
             return SpatiallyCoupledCode(
                 q, chain_len, coupling, dv, dc, offsets,
                 girth=4 if violations else 6,
                 layout=_slot_layout(q, chain_len, coupling, dv, dc, *edges),
                 tail_solver=(transform, pivots, rank),
             )
+        # a rejected draw holds nothing while the next one is solved
+        del edges, system, transform, pivots
     raise RuntimeError(
         f"no workable termination after {_MAX_BUILD_ATTEMPTS} offset draws"
     )
@@ -460,6 +471,10 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
     chk_f32 = np.empty(max_chk, dtype=np.float32)
     var_msgs = np.empty(dv * max_var, dtype=np.float32)
     var_f32 = np.empty(max_var, dtype=np.float32)
+    # np.take runs ~5x slower on strided indices, and converts others to
+    # intp first: each step copies its slice of the layout into these
+    gvar_buf = np.empty(n_slots * max_chk, dtype=np.intp)
+    vslot_buf = np.empty(dv * max_var, dtype=np.intp)
     llr = np.zeros(n, dtype=np.float32)
     # the saturation clip of |v2c|, merged into phi's
     ph_ceil = min(saturation, _PHI_CEIL)
@@ -470,9 +485,10 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
         v0, v1 = t0 * span, min(c_hi, L) * span
         n_chk, n_var = chk1 - chk0, v1 - v0
         shape = (n_slots, n_chk)
-        # contiguous copies: np.take runs ~5x slower on strided indices
-        gvar = slot_var[:, chk0:chk1].copy()
-        vslot = var_slot[:, v0:v1].copy()
+        gvar = gvar_buf[:n_slots * n_chk].reshape(shape)
+        np.copyto(gvar, slot_var[:, chk0:chk1])
+        vslot = vslot_buf[:dv * n_var].reshape(dv, n_var)
+        np.copyto(vslot, var_slot[:, v0:v1])
         msg = c2v[:, chk0:chk1]
         gath, v2c, ph, mag, live_f = (b[:n_slots * n_chk].reshape(shape) for b in f32)
         # v2c is spent once neg and ph are formed; its bits then carry

@@ -124,3 +124,9 @@ def test_table_round_trip_is_bit_exact():
 def test_unknown_format_rejected():
     with pytest.raises(ConfigError):
         build_constellation("qam64")
+
+
+def test_format_names_are_exact_and_lower_case():
+    # the config check reads the same table map, so both refuse the name
+    with pytest.raises(ConfigError):
+        build_constellation("QAM16")

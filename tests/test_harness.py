@@ -179,6 +179,11 @@ def test_main_error_paths(tmp_path):
     cross = _write(tmp_path / "x.ini", "[link]\nconstellation = qam32\n"
                    "[sweep]\nsnr1_db = 17\nn_symbols = 200\n")
     assert main(["snr-region", "--config", str(cross), "--out", str(tmp_path / "o4")]) == 2
+    # constellation names are exact and lower case, as build_constellation takes them
+    upper = _write(tmp_path / "u.ini", "[link]\nconstellation = QAM16\n"
+                   "[sweep]\nsnr1_db = 17\nn_symbols = 200\n")
+    assert main(["snr-region", "--config", str(upper), "--out", str(tmp_path / "o8")]) == 2
+    assert not list((tmp_path / "o8").iterdir())
 
 
 _SMALL_REGION = """

@@ -55,6 +55,35 @@ def test_analytic_dmc_sweep_never_loads_scipy_special(tmp_path):
     assert out.stdout.strip() == "False"
 
 
+_MA_PROBE = """
+import sys
+import numpy as np
+from relaycm.constellation import build_constellation
+from relaycm.harness import main
+from relaycm.scldpc import build_code
+
+build_constellation("qam16")
+build_constellation("qam32")
+with open(sys.argv[2], "w") as fh:
+    fh.write("[run]\\nkind = snr_region\\n[link]\\nvariants = hd_matched, scale\\n"
+             "[sweep]\\nsnr1_db = 17\\nn_symbols = 500\\ntol_db = 0.5\\n")
+assert main(["snr-region", "--config", sys.argv[2], "--out", sys.argv[1]]) == 0
+code = build_code(8, 4, 2)
+code.encode(np.zeros(code.k, dtype=np.uint8))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_sweeps_never_load_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, about 1 MB and 10 ms in every process;
+    # the package counts distinct values without it
+    env = dict(os.environ, PYTHONPATH=str(Path(relaycm.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", _MA_PROBE, str(tmp_path / "out"),
+                          str(tmp_path / "sweep.ini")],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_alist_export_leaves_scipy_sparse_unloaded():
     # the alist is read off the decoder's slot layout, not a sparse matrix
     probe = ("import sys; from relaycm.scldpc import build_code; "

@@ -1,5 +1,6 @@
 """The demapper and the rate estimators work in memory that does not grow
-with the sample count beyond their inputs and outputs."""
+with the sample count beyond their inputs and outputs, and the SC-LDPC
+code holds and builds its graph and termination solve in little memory."""
 
 import tracemalloc
 
@@ -10,6 +11,7 @@ from relaycm.channel import DmcMatrix
 from relaycm.constellation import build_constellation
 from relaycm.demapper import Demapper
 from relaycm.gmi import gmi_from_llrs, optimal_llr_scale
+from relaycm.scldpc import build_code
 
 N = 100_000
 
@@ -63,3 +65,20 @@ def test_rate_estimate_peak_is_about_its_input():
     est, peak = _traced_peak(gmi_from_llrs, llrs, bits)
     assert 0.0 < est.value < 5.0
     assert peak <= 1.5 * llrs.nbytes
+
+
+def test_code_build_peak_is_small():
+    # the termination system and its transform stay packed, one bit per
+    # entry, and a rejected offset draw is dropped before the next
+    _, peak = _traced_peak(build_code, 64, 16, 3, 1)
+    assert peak <= 3.0 * 2**20
+
+
+def test_code_holds_an_int32_layout_and_a_packed_transform():
+    code = build_code(64, 16, 3, seed=1)
+    assert code.slot_var.dtype == code.var_slot.dtype == np.int32
+    n_tail = len(code.tail_vars)
+    # an eighth of the dense n_tail x n_tail bytes, plus word padding
+    assert code._tail_transform.nbytes <= n_tail * -(-n_tail // 64) * 8
+    held = code.slot_var.nbytes + code.var_slot.nbytes + code._tail_transform.nbytes
+    assert held <= 0.5 * 2**20

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from relaycm.errors import ConfigError
 from relaycm.scldpc import (
     DEFAULT_DC,
+    DEFAULT_DV,
     _build_edges,
     _gf2_solver,
     _phi,
+    _tail_system,
+    _var_roles,
     build_code,
     decode,
     design_rate,
@@ -533,9 +536,50 @@ def test_packed_gf2_solver_matches_plain_elimination(n_rows, n_cols, density, in
         a = (rng.random((n_rows, inner)) < density).astype(np.int64)
         b = (rng.random((inner, n_cols)) < density).astype(np.int64)
         m = ((a @ b) % 2).astype(np.uint8)
-    t, pivots, rank = _gf2_solver(m)
+    t_words, pivots, rank = _gf2_solver(_pack_rows(m), n_cols)
     t_ref, pivots_ref, rank_ref = _reference_gf2_solver(m)
     assert rank == rank_ref
     assert np.array_equal(pivots, pivots_ref)
-    assert t.dtype == np.uint8
-    assert np.array_equal(t, t_ref)
+    assert t_words.dtype == np.uint64 and t_words.shape == (n_rows, -(-n_rows // 64))
+    assert np.array_equal(_unpack_rows(t_words, n_rows), t_ref)
+
+
+def _pack_rows(m):
+    # rows of 0/1 entries into little-endian uint64 words, as the solver
+    # takes them: column j is bit j % 64 of word j // 64
+    packed = np.packbits(m, axis=1, bitorder="little")
+    words = np.zeros((len(m), -(-m.shape[1] // 64) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view("<u8")
+
+
+def _unpack_rows(words, n_cols):
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :n_cols]
+
+
+def _dense_tail_system(q, chain_len, coupling, dc, offsets):
+    # the termination system as one byte per entry, from the whole edge list
+    dv = DEFAULT_DV
+    var, chk = _build_edges(q, chain_len, coupling, dv, dc, offsets)
+    tail = np.flatnonzero(_var_roles(q, chain_len, coupling, dv, dc) == 2)
+    col = np.full(dc * q * chain_len, -1, dtype=np.int64)
+    col[tail] = np.arange(len(tail))
+    unknown = col[var] >= 0
+    m = np.zeros((len(tail), len(tail)), dtype=np.uint8)
+    np.add.at(m, (chk[unknown] - (chain_len - coupling + 1) * dv * q, col[var][unknown]), 1)
+    return m % 2
+
+
+@pytest.mark.parametrize("q, chain_len, coupling, dc", [
+    (8, 8, 2, 15), (16, 8, 2, 15), (64, 16, 3, 15), (8, 6, 2, 6),
+    (32, 12, 2, 15), (4, 3, 3, 9), (8, 2, 2, 6), (16, 5, 3, 7),
+])
+def test_packed_tail_system_matches_dense(q, chain_len, coupling, dc):
+    rng = np.random.default_rng(q * chain_len + dc)
+    for offsets in (build_code(q, chain_len, coupling, seed=2, dc=dc).offsets,
+                    rng.integers(0, q, (DEFAULT_DV, dc))):
+        _, chk = _build_edges(q, chain_len, coupling, DEFAULT_DV, dc, offsets)
+        words = _tail_system(q, chain_len, coupling, DEFAULT_DV, dc, chk)
+        m = _dense_tail_system(q, chain_len, coupling, dc, offsets)
+        assert words.dtype == np.uint64 and words.shape == (len(m), -(-len(m) // 64))
+        assert np.array_equal(_unpack_rows(words, len(m)), m)
