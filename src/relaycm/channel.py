@@ -39,9 +39,15 @@ def derived_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def complex_noise_unit(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Unit-variance circular complex Gaussian samples."""
+    """Unit-variance circular complex Gaussian samples: the doubles of
+    (z[0] + 1j * z[1]) / np.sqrt(2.0) on normals z of shape (2, n), with no
+    complex temporary.  numpy divides by sqrt(2) + 0j as (x + y * 0) * (1 /
+    sqrt(2)) per part, so only an exactly zero draw could differ, in sign."""
     z = rng.standard_normal((2, n))
-    return (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    z *= 1.0 / np.sqrt(2.0)
+    out = np.empty(n, dtype=np.complex128)
+    out.real, out.imag = z
+    return out
 
 
 @dataclass(frozen=True)
@@ -470,7 +476,9 @@ def transition_matrix(
                 done = 0
                 while done < mc_samples:
                     n = min(_MC_CHUNK, mc_samples - done)
-                    y = c.symbols[j] + np.sqrt(var) * complex_noise_unit(rng, n)
+                    y = complex_noise_unit(rng, n)
+                    y *= np.sqrt(var)
+                    y += c.symbols[j]
                     counts[:, j] += np.bincount(nearest_index(y, c.symbols), minlength=c.order)
                     done += n
         m = DmcMatrix(probs=counts / mc_samples, snr_db=snr_db, method=MONTE_CARLO, seed=seed)

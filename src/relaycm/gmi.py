@@ -133,28 +133,30 @@ def optimal_llr_scale(llrs: np.ndarray, bits: np.ndarray, tol: float = 1e-6) -> 
     wrong (no z < 0) have no finite minimizer; they give the finite
     scale at which every nonzero-metric term of the loss underflows to 0.
     The result also carries the per-bit losses at the scale it returns.
+    The solve holds three arrays of the input's size, w (z divided in
+    place) and two Newton work arrays, and drops them before the losses,
+    which rebuild z from (llrs, bits).
     """
     llrs = np.atleast_2d(llrs)
     bits = np.atleast_2d(bits)
     m = llrs.shape[1]
-    z = _signed_metrics(llrs, bits).ravel()
 
     def result(zeta, degenerate=False):
-        loss = z * -zeta
-        np.logaddexp(0.0, loss, out=loss)
+        loss = _signed_metrics(llrs, bits)
+        np.logaddexp(0.0, np.multiply(loss, -zeta, out=loss), out=loss)
         total = float(loss.mean()) * m / _LN2
         return ScaleResult(scale=zeta, loss=total, degenerate=degenerate,
                            bit_losses=np.divide(loss, _LN2, out=loss).reshape(llrs.shape))
 
-    unit = float(np.abs(z).max())
+    w = _signed_metrics(llrs, bits).ravel()
+    unit = float(np.abs(w).max())
     if unit == 0.0:
         return result(0.0, degenerate=True)
-    w = z / unit
+    w /= unit
     wrong = -float(np.minimum(w, 0.0).sum())
     np.abs(w, out=w)
     if wrong == 0.0:
-        zeta = _SEPARATED / (unit * float(w[w > 0.0].min()))
-        return result(zeta)
+        return result(_SEPARATED / (unit * float(w[w > 0.0].min())))
     half = 0.5 * float(w.sum())
     if half <= wrong:
         return result(0.0)
@@ -183,6 +185,7 @@ def optimal_llr_scale(llrs: np.ndarray, bits: np.ndarray, tol: float = 1e-6) -> 
         t = nxt
         if done:
             break
+    del w, e, d
     return result(t / unit)
 
 
@@ -198,11 +201,13 @@ class RelayLink:
     re-decide every symbol to the nearest point.  splice, when given, maps
     the decided indices to the indices sent on, such as a codeword with
     the relay's own traffic spliced in.  dmc is the relay's transition
-    matrix, which the matched hard-decision receiver demaps over.
+    matrix, which the matched hard-decision receiver needs to demap.
     """
 
     def __init__(self, c: Constellation, x: np.ndarray, snr1: float, variant: str, key: tuple,
                  dmc: DmcMatrix | None = None, splice=None):
+        if variant not in VARIANTS:
+            raise ConfigError(f"unknown link variant {variant!r}")
         self.c = c
         self.snr1 = float(snr1)
         self.variant = variant
@@ -232,6 +237,8 @@ class RelayLink:
             dem = Demapper.conventional(self.c, scale_relay_equivalent_snr(self.snr1, snr2))
             return dem.llrs(y2 / eta)
         if self.variant == HD_MATCHED:
+            if self.dmc is None:
+                raise ConfigError("the matched receiver needs the relay's transition matrix")
             return Demapper.equivalent(self.c, snr2, self.dmc).llrs(y2)
         return Demapper.conventional(self.c, snr2).llrs(y2)
 
@@ -263,8 +270,6 @@ class RelayGmiEvaluator:
         dmc_method: str = "analytic",
         dmc_samples: int = 200_000,
     ):
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown link variant {variant!r}")
         if n_symbols < 2:
             raise ConfigError("need at least two symbols")
         self.c = c

@@ -3,10 +3,11 @@
 Reads an INI config, fans grid points out over a process pool, and writes
 per-contour CSV files, a combined gnuplot data file, and a JSON run
 record.  Outputs are deterministic for a given config and seed: every
-grid point evaluates under its own derived seed, results are emitted in
-grid order, and wall-clock time stays out of the record unless asked
-for.  Exit codes: 0 on success, 2 for configuration problems, 3 when the
-numerics degenerate.
+grid point evaluates under its own seed, which the worker that runs it
+derives from the root seed and the point's grid key, results are
+emitted in grid order, and wall-clock time stays out of the record
+unless asked for.  Exit codes: 0 on success, 2 for configuration
+problems, 3 when the numerics degenerate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import os
 import sys
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -213,6 +214,11 @@ def config_hash(cfg) -> str:
 
 def _point_seed(root, *key) -> int:
     return int(np.random.SeedSequence(root, spawn_key=key).generate_state(1, np.uint64)[0])
+
+
+def _seeded(task, t):
+    # in the worker: a pooled sweep's parent then never loads numpy.random
+    return task(dict(t, seed=_point_seed(*t["seed_key"])))
 
 
 def _run_pool(fn, tasks, workers):
@@ -449,9 +455,9 @@ def _sweep(kind, task, cfg, out_dir, workers, with_time):
         for gi, x in enumerate(grid):
             # the seed leaves the variant out: common random numbers across
             # variants; "index" names the point to a tracer (perfbench/spans.py)
-            tasks.append({"index": len(tasks), "seed": _point_seed(root, *key, gi),
+            tasks.append({"index": len(tasks), "seed_key": (root, *key, gi),
                           "cfg": cfg, "x": x, **contour})
-    results = _run_pool(task, tasks, workers)
+    results = _run_pool(partial(_seeded, task), tasks, workers)
 
     cols = spec["columns"]
     blocks = []

@@ -423,10 +423,15 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
 
     llrs follow the positive-means-zero convention.  The window spans
     `window` positions (default 4w); each step runs up to `iterations`
-    full parallel iterations, stops early once the in-window checks are
-    satisfied, then commits the oldest position.  A position's flag
-    reports whether every check touching it holds for the final word and
-    its committed posteriors were all nonzero.
+    full parallel iterations, stops early once the checks of the
+    window's first 2w + 1 positions hold, then commits the oldest
+    position.  That prefix spans every check within two hops of the
+    committed variables (window positions 0 to 2w - 2) and two more: the
+    two-hop prefix alone left failed words where checking the whole
+    window left none.  A window of at most 2w + 1 positions is all
+    prefix.  A position's flag reports whether every check touching it
+    holds for the final word and its committed posteriors were all
+    nonzero.
 
     When given, stop(t, bits) is called after position t is committed,
     with the hard word so far (0 past t).  A true return ends decoding
@@ -543,7 +548,7 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
             np.bitwise_and(neg, live, out=neg)
             np.bitwise_xor.reduce(neg, axis=0, out=syn)
             np.bitwise_xor(syn, flip, out=syn)
-            if not syn.any():
+            if not syn[:(2 * w + 1) * dv * q].any():
                 break
         llr[v0:v0 + span] = post[v0:v0 + span]
         np.less(llr[v0:v0 + span], 0.0, out=hard[v0:v0 + span])

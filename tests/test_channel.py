@@ -15,6 +15,7 @@ from relaycm.channel import (
     AwgnSegment,
     DmcMatrix,
     LinkModel,
+    complex_noise_unit,
     compose_dmc,
     derived_rng,
     nearest_index,
@@ -32,6 +33,17 @@ def _qpsk():
     symbols = np.array([-lv - 1j * lv, lv - 1j * lv, -lv + 1j * lv, lv + 1j * lv])
     labels = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
     return Constellation(name="qpsk", symbols=symbols, labels=labels)
+
+
+@pytest.mark.parametrize("n", [1, 7, 50_000])
+def test_unit_noise_is_the_complex_expression_bit_for_bit(n):
+    # built without complex temporaries, and still the doubles of the
+    # plain expression on the same stream
+    z = derived_rng(3, n).standard_normal((2, n))
+    want = (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    got = complex_noise_unit(derived_rng(3, n), n)
+    assert got.dtype == np.complex128 and got.shape == (n,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_transmit_noise_variance_at_0db():

@@ -200,6 +200,20 @@ def test_relay_link_llrs_pick_the_variant_demapper():
                           Demapper.conventional(c, snr2).llrs(y2))
 
 
+def test_relay_link_rejects_an_unknown_variant():
+    c = build_constellation("qam16")
+    with pytest.raises(ConfigError):
+        RelayLink(c, c.symbols, 10.0, "hd_blind", (8,))
+
+
+def test_matched_relay_link_needs_its_transition_matrix():
+    # without it the matched receiver would demap conventionally
+    c = build_constellation("qam16")
+    link = RelayLink(c, c.symbols, 10.0, "hd_matched", (8,))
+    with pytest.raises(ConfigError):
+        link.llrs(link.receive(10.0), 10.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(variant=st.sampled_from(VARIANTS), snr1_db=st.floats(-5.0, 40.0),
        seed=st.integers(0, 2**32 - 1), key_len=st.integers(1, 2),

@@ -84,6 +84,31 @@ def test_sweeps_never_load_numpy_ma(tmp_path):
     assert out.stdout.strip() == "False"
 
 
+_POOL_PROBE = """
+import sys
+from relaycm.harness import main
+
+with open(sys.argv[2], "w") as fh:
+    fh.write("[run]\\nkind = distance_contour\\n[sweep]\\nspans1 = 0, 4\\n"
+             "n_symbols = 500\\ntol_db = 0.5\\n")
+assert main(["distance-contour", "--config", sys.argv[2], "--out", sys.argv[1],
+             "--workers", "2"]) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_pooled_sweep_parent_never_loads_numpy_random(tmp_path):
+    # each worker derives its point's seed, so the parent of a pooled
+    # sweep draws no random numbers and leaves numpy.random unloaded
+    env = dict(os.environ, PYTHONPATH=str(Path(relaycm.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", _POOL_PROBE, str(tmp_path / "out"),
+                          str(tmp_path / "sweep.ini")],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+    rows = (tmp_path / "out" / "distance_hd_matched_f0.csv").read_text().splitlines()[-2:]
+    assert [r.split(",")[0] for r in rows] == ["0.0", "4.0"]
+
+
 def test_alist_export_leaves_scipy_sparse_unloaded():
     # the alist is read off the decoder's slot layout, not a sparse matrix
     probe = ("import sys; from relaycm.scldpc import build_code; "

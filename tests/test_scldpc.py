@@ -282,12 +282,14 @@ def _reference_phi(x, dtype):
 
 
 def _reference_decode(code, llrs, window=None, iterations=20, saturation=25.0,
-                      dtype=np.float32):
+                      dtype=np.float32, whole_window=False):
     # the edge-list decoder: re-derives each window's edges, np.unique for
     # its variables, and every float sum as np.add.at over the check-sorted
     # edges, one term at a time in the given dtype (np.bincount would sum
     # in float64 whatever its weights).  float32 is the decoder's arithmetic,
-    # float64 the one it replaced.
+    # float64 the one it replaced.  A step stops once the checks of its
+    # first 2w + 1 positions hold, or with whole_window every check of the
+    # window, the rule the decoder had before.
     L, w, q, dv, dc = code.chain_len, code.coupling, code.q, code.dv, code.dc
     var, chk = _build_edges(q, L, w, dv, dc, code.offsets)
     order = np.argsort(chk, kind="stable")
@@ -333,7 +335,7 @@ def _reference_decode(code, llrs, window=None, iterations=20, saturation=25.0,
             post = lam_u + v_sum
             hb = (post < 0.0).astype(np.float64)
             syn = np.bincount(achk, weights=hb[inv], minlength=n_chk).astype(np.int64) + flip
-            if not np.any(syn % 2):
+            if not np.any(syn[:None if whole_window else (2 * w + 1) * dv * q] % 2):
                 break
         sel = (uvar // (dc * q)) == t0
         hard[uvar[sel]] = post[sel] < 0.0
@@ -354,9 +356,9 @@ def _noisy_llrs(code, sigma, zero_frac, rng):
     return lam
 
 
-def _assert_matches_reference(code, lam, **kw):
+def _assert_matches_reference(code, lam, whole_window=False, **kw):
     res = decode(code, lam, **kw)
-    bits, flags, iters, llr = _reference_decode(code, lam, **kw)
+    bits, flags, iters, llr = _reference_decode(code, lam, whole_window=whole_window, **kw)
     assert np.array_equal(res.bits, bits)
     assert np.array_equal(res.converged, flags)
     assert res.iterations == iters
@@ -384,6 +386,31 @@ def test_decode_matches_edge_list_reference(case, iterations, saturation, sigma,
     lam = _noisy_llrs(code, sigma, zero_frac, np.random.default_rng(seed))
     _assert_matches_reference(code, lam, window=window, iterations=iterations,
                               saturation=saturation)
+
+
+def test_window_steps_stop_on_their_first_2w_plus_1_positions():
+    # with the default window of 4w positions the two stopping rules part
+    # ways here; the decoder takes the prefix rule's iterations
+    code = _shared_code(16, 12, 2)
+    lam = _noisy_llrs(code, 0.5, 0.0, np.random.default_rng(1))
+    _assert_matches_reference(code, lam)
+    assert decode(code, lam).iterations == 35
+    assert _reference_decode(code, lam, whole_window=True)[2] == 42
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_decode_cases(), iterations=st.integers(1, 30), sigma=st.floats(0.3, 1.5),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_short_windows_decode_as_under_the_whole_window_rule(case, iterations, sigma, seed,
+                                                            data):
+    # a window of at most 2w + 1 positions is all prefix: every bit,
+    # posterior and iteration count is the whole-window rule's
+    q, chain_len, w, _ = case
+    window = data.draw(st.integers(w, 2 * w + 1), label="window")
+    code = _shared_code(q, chain_len, w)
+    lam = _noisy_llrs(code, sigma, 0.0, np.random.default_rng(seed))
+    _assert_matches_reference(code, lam, whole_window=True, window=window,
+                              iterations=iterations)
 
 
 def test_one_layout_serves_every_window():
