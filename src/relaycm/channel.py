@@ -454,10 +454,10 @@ def transition_matrix(
                 "use the Monte Carlo method for cross constellations"
             )
         re, im, col, row = grid
-        sigma_dim = np.sqrt(seg.noise_var / 2.0) if seg.noise_var > 0 else 0.0
-        if sigma_dim == 0.0:
+        if seg.noise_var == 0.0:
             probs = np.eye(c.order)
         else:
+            sigma_dim = np.sqrt(seg.noise_var / 2.0)
             p_re = _levels_transition(re, sigma_dim)
             p_im = _levels_transition(im, sigma_dim)
             probs = p_re[np.ix_(col, col)] * p_im[np.ix_(row, row)]

@@ -35,6 +35,15 @@ ENERGY_TOL = 1e-12
 TABLES = {QAM16: "qam16_gray.txt", QAM32: "qam32_gmi32.txt"}
 
 
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Rows of an (n, m) bit array packed into intp, column 0 as the MSB."""
+    out = np.zeros(len(bits), dtype=np.intp)
+    for col in bits.T:
+        out <<= 1
+        out |= col
+    return out
+
+
 @dataclass(eq=False)
 class Constellation:
     """A complex symbol set with a fixed bit labeling.
@@ -59,9 +68,7 @@ class Constellation:
 
     def label_ints(self) -> np.ndarray:
         """Labels packed into integers, bit level 1 as the MSB."""
-        m = self.bits_per_symbol
-        weights = 1 << np.arange(m - 1, -1, -1)
-        return (self.labels.astype(np.int64) * weights).sum(axis=1)
+        return _pack_rows(self.labels)
 
     def index_of_label(self) -> np.ndarray:
         """Lookup table from packed label to symbol index (-1 where unused)."""
@@ -150,12 +157,11 @@ def indices_for_bits(c: Constellation, bits) -> np.ndarray:
     The stream length must be a multiple of bits_per_symbol; unused label
     patterns (possible only if the labeling is partial) are rejected.
     """
-    b = np.asarray(bits, dtype=np.int64).ravel()
+    b = np.asarray(bits, dtype=np.uint8).ravel()
     m = c.bits_per_symbol
     if len(b) % m:
         raise ConfigError(f"bit stream length {len(b)} is not a multiple of {m}")
-    weights = 1 << np.arange(m - 1, -1, -1)
-    idx = c.index_of_label()[b.reshape(-1, m) @ weights]
+    idx = c.index_of_label()[_pack_rows(b.reshape(-1, m))]
     if np.any(idx < 0):
         raise ConfigError("bit pattern has no symbol under this labeling")
     return idx

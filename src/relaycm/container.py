@@ -30,7 +30,6 @@ RELAY = 2
 BLOCKED = "blocked"
 SPREAD_POSITIONS = "spread_positions"
 INTERLEAVED = "interleaved"
-STRATEGIES = (BLOCKED, SPREAD_POSITIONS, INTERLEAVED)
 
 _MAGIC = b"CONT1"
 
@@ -71,6 +70,7 @@ _PLANNERS = {
     SPREAD_POSITIONS: _spread_position_slots,
     INTERLEAVED: _interleaved_slots,
 }
+STRATEGIES = tuple(_PLANNERS)
 
 
 class Container:
@@ -200,12 +200,9 @@ def relay_add(cont: Container, hard_word, relay_bits) -> np.ndarray:
     placed = np.zeros(code.k, dtype=np.uint8)
     placed[cont.relay_slots] = relay_bits & 1
     enc = code.encode(placed)
-    rv = code.info_vars[cont.relay_slots]
-    x[rv] = 0
-    x[rv] |= enc[rv]
-    parity = np.ones(code.n, dtype=bool)
-    parity[code.info_vars] = False
-    x[parity] ^= enc[parity]
+    x[code.info_vars[cont.relay_slots]] = 0
+    # enc is zero on the info bits outside the relay slots: they pass as they came
+    x ^= enc
     return x
 
 

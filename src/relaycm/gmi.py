@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import (
+    ANALYTIC,
     AwgnSegment,
     DmcMatrix,
     complex_noise_unit,
@@ -189,6 +190,14 @@ def optimal_llr_scale(llrs: np.ndarray, bits: np.ndarray, tol: float = 1e-6) -> 
     return result(t / unit)
 
 
+def _draw_symbols(c: Constellation, n: int, seed: int, key: int) -> tuple:
+    """n symbols' source bits from derived_rng(seed, key), shaped (n, m),
+    and their symbols."""
+    m = c.bits_per_symbol
+    bits = derived_rng(seed, key).integers(0, 2, size=n * m, dtype=np.uint8)
+    return bits.reshape(n, m), c.symbols[indices_for_bits(c, bits)]
+
+
 class RelayLink:
     """Symbols x sent over hop 1 at snr1, forwarded by the relay variant,
     and received over hop 2 at fixed noise.
@@ -267,7 +276,7 @@ class RelayGmiEvaluator:
         variant: str,
         n_symbols: int,
         seed: int,
-        dmc_method: str = "analytic",
+        dmc_method: str = ANALYTIC,
         dmc_samples: int = 200_000,
     ):
         if n_symbols < 2:
@@ -275,22 +284,16 @@ class RelayGmiEvaluator:
         self.c = c
         self.n_symbols = int(n_symbols)
         self._seed = seed
-        self.bits, x = self._draw_symbols(0)
+        self.bits, x = _draw_symbols(c, self.n_symbols, seed, 0)
         dmc = None if variant != HD_MATCHED else transition_matrix(
             c, float(snr1), method=dmc_method, mc_samples=dmc_samples,
             seed=int(derived_rng(seed, 3).integers(0, 2 ** 31)))
         self.link = RelayLink(c, x, snr1, variant, (seed,), dmc)
 
-    def _draw_symbols(self, key: int) -> tuple:
-        """Source bits, shaped (n_symbols, m), and their symbols."""
-        m = self.c.bits_per_symbol
-        bits = derived_rng(self._seed, key).integers(0, 2, size=self.n_symbols * m, dtype=np.uint8)
-        return bits.reshape(self.n_symbols, m), self.c.symbols[indices_for_bits(self.c, bits)]
-
     @cached_property
     def _single_stream(self) -> tuple:
         """Bits, symbols and unit noise of the single-hop stream."""
-        return (*self._draw_symbols(4),
+        return (*_draw_symbols(self.c, self.n_symbols, self._seed, 4),
                 complex_noise_unit(derived_rng(self._seed, 5), self.n_symbols))
 
     def two_hop_gmi(self, snr2: float) -> GmiEstimate:
@@ -337,12 +340,10 @@ class RelayGmiEvaluator:
 
 def single_hop_gmi(c: Constellation, snr: float, n_symbols: int, seed: int) -> GmiEstimate:
     """One-shot rate estimate of a plain AWGN link at linear snr."""
-    m = c.bits_per_symbol
-    bits = derived_rng(seed, 0).integers(0, 2, size=int(n_symbols) * m, dtype=np.uint8)
-    x = c.symbols[indices_for_bits(c, bits)]
+    bits, x = _draw_symbols(c, int(n_symbols), seed, 0)
     y = transmit(x, AwgnSegment(snr=snr), derived_rng(seed, 1))
     dem = Demapper.conventional(c, snr)
-    return gmi_from_llrs(dem.llrs(y), bits.reshape(-1, m))
+    return gmi_from_llrs(dem.llrs(y), bits)
 
 
 def required_snr2_db(

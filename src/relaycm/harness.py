@@ -27,6 +27,8 @@ import numpy as np
 
 from . import __version__
 from .channel import (
+    ANALYTIC,
+    MONTE_CARLO,
     NOISELESS_SNR,
     LinkModel,
     derived_rng,
@@ -54,8 +56,6 @@ from .gmi import (
     single_hop_gmi,
 )
 from .scldpc import build_code, decode
-
-KINDS = ("snr_region", "distance_contour", "coded_contour")
 
 
 def _items(cast):
@@ -126,12 +126,14 @@ _SCHEMA = {
 
 def load_config(path):
     """Parse and validate an INI sweep config; unknown keys are errors."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file {path!r} not found")
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file {path!r} not found") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path!r}: {exc}") from exc
 
@@ -161,7 +163,7 @@ def load_config(path):
 
 def _validate(cfg):
     run, link, sweep, code = cfg["run"], cfg["link"], cfg["sweep"], cfg["code"]
-    if run["kind"] and run["kind"] not in KINDS:
+    if run["kind"] and run["kind"] not in _SWEEPS:
         raise ConfigError(f"unknown run kind {run['kind']!r}")
     if run["seed"] < 0 or code["seed"] < 0:
         raise ConfigError("seeds cannot be negative")
@@ -185,7 +187,7 @@ def _validate(cfg):
         raise ConfigError("bisection tolerance must be positive")
     if not sweep["snr2_hi_db"] > sweep["snr2_lo_db"]:
         raise ConfigError("empty snr2 search bracket")
-    if sweep["dmc_method"] not in ("analytic", "mc"):
+    if sweep["dmc_method"] not in (ANALYTIC, MONTE_CARLO):
         raise ConfigError(f"unknown transition method {sweep['dmc_method']!r}")
     for s in code["strategies"]:
         if s not in STRATEGIES:
@@ -226,7 +228,8 @@ def _run_pool(fn, tasks, workers):
         return [fn(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor  # deferred: one worker needs no pool
 
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    # the pool forks all its workers at the first submit
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as ex:
         return list(ex.map(fn, tasks))
 
 
@@ -356,7 +359,7 @@ def _coded_task(t):
     c = build_constellation(t["cfg"]["link"]["constellation"])
     code = _cached_code(cc["q"], cc["chain_len"], t["coupling"], cc["seed"])
     snr1 = 10.0 ** (t["x"] / 10.0)
-    dmc = None if t["variant"] == SCALE_RELAY else transition_matrix(
+    dmc = None if t["variant"] != HD_MATCHED else transition_matrix(
         c, snr1, method=sweep["dmc_method"], mc_samples=sweep["dmc_samples"], seed=t["seed"])
     words = _coded_words(t, code, c, snr1, dmc)
     bounds = np.searchsorted(code.info_vars, np.arange(code.chain_len + 1) * code.dc * code.q)
@@ -569,8 +572,7 @@ def main(argv=None) -> int:
         prog="relaycm",
         description="Sweep driver for relay-span coded modulation studies.",
     )
-    p.add_argument("verb", choices=["snr-region", "distance-contour",
-                                    "coded-contour", "selftest"])
+    p.add_argument("verb", choices=[k.replace("_", "-") for k in _SWEEPS] + ["selftest"])
     p.add_argument("--config", help="INI sweep description")
     p.add_argument("--seed", type=int, help="override the configured root seed")
     p.add_argument("--out", default="out", help="output directory")
@@ -580,7 +582,10 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     try:
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {args.out!r}: {exc}") from exc
         if args.verb == "selftest":
             return 0 if run_selftest(args.out) else 1
         if not args.config:

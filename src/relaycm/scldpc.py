@@ -41,6 +41,7 @@ encoding and the syndrome stay exact integer work.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 
@@ -70,41 +71,31 @@ def _greedy_offsets(q, w, dv, dc, rng):
 
     Two columns close a 4-cycle through a row pair iff both their
     spreading differences and their offset differences agree, so the
-    tracker keys on (row pair, spreading difference).  Parity anchor
-    edges keep offset 0 and still count.  Returns (offsets, violations).
+    tracker keys on (row pair, spreading difference).  A column's edges
+    are assigned in row order, so the edge at (r, c) pairs with those of
+    rows r2 < r.  Parity anchor edges keep offset 0 and still count.
+    Returns (offsets, violations).
     """
     offsets = np.zeros((dv, dc), dtype=np.int64)
     seen = {}
     violations = 0
-    assigned = [[False] * dc for _ in range(dv)]
 
     def diffs(r, c, val):
-        out = []
-        for r2 in range(dv):
-            if r2 == r or not assigned[r2][c]:
-                continue
-            a, b = (r, r2) if r < r2 else (r2, r)
-            da = _spread_index(a, c, w, dv, dc) - _spread_index(b, c, w, dv, dc)
-            v = val if a == r else offsets[a, c]
-            v2 = offsets[b, c] if a == r else val
-            out.append(((a, b, da), (v - v2) % q))
-        return out
+        return [((r2, r, _spread_index(r2, c, w, dv, dc) - _spread_index(r, c, w, dv, dc)),
+                 (offsets[r2, c] - val) % q) for r2 in range(r)]
     for c in range(dc):
         for r in range(dv):
             if c >= dc - dv and r == c - (dc - dv):
                 cand = [0]
             else:
                 cand = list(rng.permutation(q))
-            chosen = None
-            for v in cand:
-                if all(d not in seen.get(key, ()) for key, d in diffs(r, c, v)):
-                    chosen = v
+            for chosen in cand:
+                if all(d not in seen.get(key, ()) for key, d in diffs(r, c, chosen)):
                     break
-            if chosen is None:
+            else:
                 chosen = cand[0]
                 violations += 1
             offsets[r, c] = chosen
-            assigned[r][c] = True
             for key, d in diffs(r, c, chosen):
                 seen.setdefault(key, set()).add(d)
     return offsets, violations
@@ -556,9 +547,7 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
             return DecodeResult(bits=bits, converged=np.zeros(L, dtype=bool),
                                 iterations=total_iter, posteriors=llr)
     min_abs = np.abs(llr).reshape(L, span).min(axis=1)
-    syn = code.syndrome(bits)
-    clean = syn.reshape(L + w - 1, dv * q).sum(axis=1) == 0
-    flags = np.empty(L, dtype=bool)
-    for t in range(L):
-        flags[t] = bool(clean[t:min(t + w, L + w - 1)].all()) and min_abs[t] > 0.0
+    clean = code.syndrome(bits).reshape(L + w - 1, dv * q).sum(axis=1) == 0
+    # position t touches the checks of positions t .. t + w - 1
+    flags = sliding_window_view(clean, w).all(axis=1) & (min_abs > 0.0)
     return DecodeResult(bits=bits, converged=flags, iterations=total_iter, posteriors=llr)

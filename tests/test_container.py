@@ -137,6 +137,45 @@ def test_relay_add_equals_joint_encoding(shape, strategy, fraction, seed):
     assert not code.syndrome(spliced).any()
 
 
+def _masked_relay_add(cont, hard_word, relay_bits):
+    # clear the relay bits, write them, then XOR the relay-only parity on
+    # the positions that are not info bits
+    code = cont.code
+    placed = np.zeros(code.k, dtype=np.uint8)
+    placed[cont.relay_slots] = relay_bits
+    enc = code.encode(placed)
+    x = np.array(hard_word, dtype=np.uint8)
+    rv = code.info_vars[cont.relay_slots]
+    x[rv] = relay_bits
+    parity = np.ones(code.n, dtype=bool)
+    parity[code.info_vars] = False
+    x[parity] ^= enc[parity]
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=_code_shapes(), strategy=st.sampled_from(STRATEGIES),
+       fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(shape=(8, 9, 3, DEFAULT_DC), strategy=BLOCKED, fraction=1.0, seed=1)
+@example(shape=(2, 2, 2, 6), strategy=INTERLEAVED, fraction=0.0, seed=2)
+def test_relay_add_on_any_hard_word_matches_the_masked_splice(shape, strategy, fraction, seed):
+    # an arbitrary word, not a codeword: first-hop errors anywhere, in the
+    # relay slots, the source slots and the parity alike
+    code = _code(*shape)
+    try:
+        cont = plan_container(code, fraction, strategy)
+    except ConfigError:
+        assert strategy == SPREAD_POSITIONS
+        reject()
+    rng = np.random.default_rng(seed)
+    word = rng.integers(0, 2, code.n, dtype=np.uint8)
+    ur = rng.integers(0, 2, len(cont.relay_slots), dtype=np.uint8)
+    want = _masked_relay_add(cont, word, ur)
+    got = relay_add(cont, word, ur)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == np.uint8 and got is not word
+
+
 def test_relay_add_wipes_its_own_region_only():
     code = _code()
     cont = plan_container(code, 0.5, "interleaved")

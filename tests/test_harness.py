@@ -149,7 +149,7 @@ def test_selftest_runs_twice_identically(tmp_path, capsys):
     assert all(line.startswith("PASS") for line in t1.strip().splitlines())
 
 
-def test_main_error_paths(tmp_path):
+def test_main_error_paths(tmp_path, capsys):
     assert main(["snr-region"]) == 2
     assert main(["snr-region", "--config", str(tmp_path / "none.ini")]) == 2
     cfg = _write(tmp_path / "k.ini", "[run]\nkind = distance_contour\n")
@@ -184,6 +184,51 @@ def test_main_error_paths(tmp_path):
                    "[sweep]\nsnr1_db = 17\nn_symbols = 200\n")
     assert main(["snr-region", "--config", str(upper), "--out", str(tmp_path / "o8")]) == 2
     assert not list((tmp_path / "o8").iterdir())
+    # a config path that cannot be read as text, and an output path that is
+    # a file, once ended in a traceback
+    capsys.readouterr()
+    (tmp_path / "d.ini").mkdir()
+    latin = tmp_path / "l.ini"
+    latin.write_bytes(b"[run]\n# caf\xe9\nseed = 2\n")
+    for ini, out in ((tmp_path / "d.ini", "o9"), (latin, "o10")):
+        assert main(["snr-region", "--config", str(ini), "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not list((tmp_path / out).iterdir())
+    taken = _write(tmp_path / "taken", "keep\n")
+    assert main(["snr-region", "--config", str(small), "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert taken.read_text() == "keep\n"
+
+
+def test_pool_starts_no_more_workers_than_points(monkeypatch):
+    # the fork start method launches every worker at the first submit, so
+    # a sweep of 4 points under --workers 64 would fork 64 processes
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    tasks = list(range(4))
+    assert harness._run_pool(str, tasks, 64) == ["0", "1", "2", "3"]
+    assert harness._run_pool(str, tasks, 2) == ["0", "1", "2", "3"]
+    assert started == [len(tasks), 2]
+    # one worker or one point runs in this process, with no pool at all
+    assert harness._run_pool(str, tasks[:1], 64) == ["0"]
+    assert harness._run_pool(str, tasks, 1) == ["0", "1", "2", "3"]
+    assert started == [len(tasks), 2]
 
 
 _SMALL_REGION = """

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from relaycm.channel import DmcMatrix
-from relaycm.constellation import build_constellation
+from relaycm.constellation import build_constellation, indices_for_bits
 from relaycm.demapper import Demapper
 from relaycm.gmi import gmi_from_llrs, optimal_llr_scale
 from relaycm.scldpc import build_code
@@ -42,6 +42,17 @@ def test_llrs_work_beside_the_output_in_fixed_memory(name, equivalent):
     out, peak = _traced_peak(dm.llrs, y)
     assert out.shape == (N, c.bits_per_symbol)
     assert peak <= out.nbytes + 4 * 2**20
+
+
+@pytest.mark.parametrize("name", ["qam16", "qam32"])
+def test_bit_mapping_works_beside_its_output(name):
+    # uint8 bits, as every caller passes them: no int64 copy of the stream
+    c = build_constellation(name)
+    bits = np.random.default_rng(4).integers(0, 2, N * c.bits_per_symbol, dtype=np.uint8)
+    c.index_of_label()  # the cached lookup table is not the call's own memory
+    idx, peak = _traced_peak(indices_for_bits, c, bits)
+    assert idx.dtype == np.int64 and idx.shape == (N,)
+    assert peak <= 2.5 * idx.nbytes
 
 
 def _informative_llrs():

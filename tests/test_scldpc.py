@@ -12,7 +12,9 @@ from relaycm.scldpc import (
     DEFAULT_DV,
     _build_edges,
     _gf2_solver,
+    _greedy_offsets,
     _phi,
+    _spread_index,
     _tail_system,
     _var_roles,
     build_code,
@@ -610,3 +612,57 @@ def test_packed_tail_system_matches_dense(q, chain_len, coupling, dc):
         m = _dense_tail_system(q, chain_len, coupling, dc, offsets)
         assert words.dtype == np.uint64 and words.shape == (len(m), -(-len(m) // 64))
         assert np.array_equal(_unpack_rows(words, len(m)), m)
+
+
+def _reference_greedy_offsets(q, w, dv, dc, rng):
+    # the offset search with an explicit tracker of the assigned edges,
+    # pairing an edge with every assigned edge of its column in row order
+    offsets = np.zeros((dv, dc), dtype=np.int64)
+    seen = {}
+    violations = 0
+    assigned = [[False] * dc for _ in range(dv)]
+
+    def diffs(r, c, val):
+        out = []
+        for r2 in range(dv):
+            if r2 == r or not assigned[r2][c]:
+                continue
+            a, b = (r, r2) if r < r2 else (r2, r)
+            da = _spread_index(a, c, w, dv, dc) - _spread_index(b, c, w, dv, dc)
+            v = val if a == r else offsets[a, c]
+            v2 = offsets[b, c] if a == r else val
+            out.append(((a, b, da), (v - v2) % q))
+        return out
+    for c in range(dc):
+        for r in range(dv):
+            if c >= dc - dv and r == c - (dc - dv):
+                cand = [0]
+            else:
+                cand = list(rng.permutation(q))
+            chosen = None
+            for v in cand:
+                if all(d not in seen.get(key, ()) for key, d in diffs(r, c, v)):
+                    chosen = v
+                    break
+            if chosen is None:
+                chosen = cand[0]
+                violations += 1
+            offsets[r, c] = chosen
+            assigned[r][c] = True
+            for key, d in diffs(r, c, chosen):
+                seen.setdefault(key, set()).add(d)
+    return offsets, violations
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.integers(2, 64), w=st.sampled_from([2, 3]), dc=st.sampled_from([6, 7, 9, 12, 15]),
+       seed=st.integers(0, 2**32 - 1))
+@example(q=4, w=3, dc=15, seed=0)
+@example(q=64, w=3, dc=15, seed=1)
+def test_offset_search_matches_the_tracker_reference(q, w, dc, seed):
+    # small lifts force violations, large ones leave room; both must draw
+    # and choose as the tracker version does
+    got, n_bad = _greedy_offsets(q, w, DEFAULT_DV, dc, np.random.default_rng(seed))
+    ref, n_ref = _reference_greedy_offsets(q, w, DEFAULT_DV, dc, np.random.default_rng(seed))
+    assert np.array_equal(got, ref) and got.dtype == ref.dtype
+    assert n_bad == n_ref
