@@ -438,15 +438,22 @@ def transition_matrix(
 ) -> DmcMatrix:
     """Transition matrix of one AWGN hop followed by a hard decision.
 
-    The analytic path slices the plane into per-dimension intervals and is
-    only valid for full rectangular grids (16QAM, not the 32 cross); Monte
-    Carlo works for any constellation.  mc_samples counts draws per sent
-    symbol.  A scaling relay induces no discrete channel; the demapper
-    models it through its equivalent continuous snr.
+    A noiseless hop is the identity under either method.  Otherwise the
+    analytic path slices the plane into per-dimension intervals, on full
+    rectangular grids only (16QAM, not the 32 cross), and Monte Carlo draws
+    mc_samples per sent symbol on any constellation.  A scaling relay has
+    no discrete channel; the demapper models its equivalent continuous snr.
     """
-    seg = AwgnSegment(snr=snr)
+    var = AwgnSegment(snr=snr).noise_var
     snr_db = 10.0 * np.log10(snr)
-    if method == ANALYTIC:
+    if method not in (ANALYTIC, MONTE_CARLO):
+        raise ConfigError(f"unknown transition matrix method {method!r}")
+    if method == MONTE_CARLO and mc_samples < 1:
+        raise ConfigError("mc_samples must be positive")
+    if var == 0.0:
+        # without noise every draw lands on its own symbol
+        probs = np.eye(c.order)
+    elif method == ANALYTIC:
         grid = _rect_grid(c)
         if grid is None:
             raise ConfigError(
@@ -454,36 +461,22 @@ def transition_matrix(
                 "use the Monte Carlo method for cross constellations"
             )
         re, im, col, row = grid
-        if seg.noise_var == 0.0:
-            probs = np.eye(c.order)
-        else:
-            sigma_dim = np.sqrt(seg.noise_var / 2.0)
-            p_re = _levels_transition(re, sigma_dim)
-            p_im = _levels_transition(im, sigma_dim)
-            probs = p_re[np.ix_(col, col)] * p_im[np.ix_(row, row)]
-        m = DmcMatrix(probs=probs, snr_db=snr_db, method=ANALYTIC, seed=None)
-    elif method == MONTE_CARLO:
-        if mc_samples < 1:
-            raise ConfigError("mc_samples must be positive")
-        var = seg.noise_var
-        if var == 0.0:
-            # without noise every draw lands on its own symbol
-            counts = np.eye(c.order, dtype=np.int64) * mc_samples
-        else:
-            counts = np.zeros((c.order, c.order), dtype=np.int64)
-            for j in range(c.order):
-                rng = derived_rng(seed, j)
-                done = 0
-                while done < mc_samples:
-                    n = min(_MC_CHUNK, mc_samples - done)
-                    y = complex_noise_unit(rng, n)
-                    y *= np.sqrt(var)
-                    y += c.symbols[j]
-                    counts[:, j] += np.bincount(nearest_index(y, c.symbols), minlength=c.order)
-                    done += n
-        m = DmcMatrix(probs=counts / mc_samples, snr_db=snr_db, method=MONTE_CARLO, seed=seed)
+        sigma_dim = np.sqrt(var / 2.0)
+        p_re = _levels_transition(re, sigma_dim)
+        p_im = _levels_transition(im, sigma_dim)
+        probs = p_re[np.ix_(col, col)] * p_im[np.ix_(row, row)]
     else:
-        raise ConfigError(f"unknown transition matrix method {method!r}")
+        counts = np.zeros((c.order, c.order), dtype=np.int64)
+        for j in range(c.order):
+            rng = derived_rng(seed, j)
+            for done in range(0, mc_samples, _MC_CHUNK):
+                y = complex_noise_unit(rng, min(_MC_CHUNK, mc_samples - done))
+                y *= np.sqrt(var)
+                y += c.symbols[j]
+                counts[:, j] += np.bincount(nearest_index(y, c.symbols), minlength=c.order)
+        probs = counts / mc_samples
+    m = DmcMatrix(probs=probs, snr_db=snr_db, method=method,
+                  seed=seed if method == MONTE_CARLO else None)
     m.validate()
     return m
 

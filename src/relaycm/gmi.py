@@ -43,6 +43,7 @@ _LN2 = np.log(2.0)
 _SEPARATED = 800.0
 # a cap only: solves on demapper output take a handful of steps
 _MAX_STEPS = 200
+_SCALE_TOL = 1e-6
 
 HD_MATCHED = "hd_matched"
 HD_LEGACY_SOPT = "hd_legacy_sopt"
@@ -104,7 +105,7 @@ def gmi_from_llrs(llrs: np.ndarray, bits: np.ndarray) -> GmiEstimate:
     return _estimate(np.divide(z, _LN2, out=z))
 
 
-def optimal_llr_scale(llrs: np.ndarray, bits: np.ndarray, tol: float = 1e-6) -> ScaleResult:
+def optimal_llr_scale(llrs: np.ndarray, bits: np.ndarray) -> ScaleResult:
     """Scalar multiplier minimizing the decoding loss of the given LLRs.
 
     With z = (1 - 2b) * llr over all n entries, the loss
@@ -125,8 +126,8 @@ def optimal_llr_scale(llrs: np.ndarray, bits: np.ndarray, tol: float = 1e-6) -> 
     doubling while no upper end is known.  The solve runs in units of
     the largest |z| and starts from the minimizer of the quadratic model
     of L at 0, so the answer scales with 1/|llr| however small or large
-    the LLRs are.  It stops once a step moves the scale by at most tol,
-    or by tol relative to the scale when that exceeds 1.
+    the LLRs are.  It stops once a step moves the scale by at most
+    _SCALE_TOL, or by _SCALE_TOL relative to the scale when that exceeds 1.
 
     Metrics that are identically zero carry no information: scale 0,
     flagged degenerate.  Metrics wrong at least as much as right on
@@ -182,7 +183,7 @@ def optimal_llr_scale(llrs: np.ndarray, bits: np.ndarray, tol: float = 1e-6) -> 
         nxt = t + step
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi) if hi < np.inf else 2.0 * t
-        done = abs(nxt - t) <= tol * max(unit, nxt)
+        done = abs(nxt - t) <= _SCALE_TOL * max(unit, nxt)
         t = nxt
         if done:
             break

@@ -460,6 +460,11 @@ def _sweep(kind, task, cfg, out_dir, workers, with_time):
             # variants; "index" names the point to a tracer (perfbench/spans.py)
             tasks.append({"index": len(tasks), "seed_key": (root, *key, gi),
                           "cfg": cfg, "x": x, **contour})
+    csvs = [spec["csv"].format(**contour) for contour in contours]
+    if not tasks:
+        raise ConfigError(f"the {spec['title']} sweep has no grid points or no contours")
+    if len(set(csvs)) < len(csvs):
+        raise ConfigError(f"two contours would both write {max(csvs, key=csvs.count)}")
     results = _run_pool(partial(_seeded, task), tasks, workers)
 
     cols = spec["columns"]
@@ -475,7 +480,7 @@ def _sweep(kind, task, cfg, out_dir, workers, with_time):
             header.append(f"monotone={'yes' if contour['monotone'] else 'no'}")
         lines = [f"# relaycm {spec['title']}", f"# config={h}", *(f"# {m}" for m in header),
                  ",".join(cols), *(",".join(_fmt(r.get(k)) for k in cols) for r in rows)]
-        _write_lines(os.path.join(out_dir, spec["csv"].format(**contour)), lines)
+        _write_lines(os.path.join(out_dir, csvs[i]), lines)
         blocks.append((label, rows))
         contour["points"] = [{k: r.get(k) for k in cols} for r in rows]
     emit_plotdata(os.path.join(out_dir, f"{spec['stem']}.dat"), spec["title"], h, blocks)

@@ -452,7 +452,7 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
     # index n is the pad sentinel: its hard bit stays 0
     hard = np.zeros(n + 1, dtype=np.uint8)
     bits = hard[:n]
-    post = np.zeros(n + 1, dtype=np.float32)
+    post = np.zeros(n + 1, dtype=np.float32)  # a step writes from v0 on: commits are final
     # check-to-variable messages on the whole layout.  Columns past a
     # step's window are still zero, so a variable's edges to checks the
     # window has not reached add nothing to its posterior.
@@ -471,7 +471,6 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
     # intp first: each step copies its slice of the layout into these
     gvar_buf = np.empty(n_slots * max_chk, dtype=np.intp)
     vslot_buf = np.empty(dv * max_var, dtype=np.intp)
-    llr = np.zeros(n, dtype=np.float32)
     # the saturation clip of |v2c|, merged into phi's
     ph_ceil = min(saturation, _PHI_CEIL)
     total_iter = 0
@@ -541,13 +540,13 @@ def decode(code: SpatiallyCoupledCode, llrs, window: int | None = None,
             np.bitwise_xor(syn, flip, out=syn)
             if not syn[:(2 * w + 1) * dv * q].any():
                 break
-        llr[v0:v0 + span] = post[v0:v0 + span]
-        np.less(llr[v0:v0 + span], 0.0, out=hard[v0:v0 + span])
+        np.less(post[v0:v0 + span], 0.0, out=hard[v0:v0 + span])
         if stop is not None and stop(t0, bits):
+            post[v0 + span:] = 0.0
             return DecodeResult(bits=bits, converged=np.zeros(L, dtype=bool),
-                                iterations=total_iter, posteriors=llr)
-    min_abs = np.abs(llr).reshape(L, span).min(axis=1)
+                                iterations=total_iter, posteriors=post[:n])
+    min_abs = np.abs(post[:n]).reshape(L, span).min(axis=1)
     clean = code.syndrome(bits).reshape(L + w - 1, dv * q).sum(axis=1) == 0
     # position t touches the checks of positions t .. t + w - 1
     flags = sliding_window_view(clean, w).all(axis=1) & (min_abs > 0.0)
-    return DecodeResult(bits=bits, converged=flags, iterations=total_iter, posteriors=llr)
+    return DecodeResult(bits=bits, converged=flags, iterations=total_iter, posteriors=post[:n])

@@ -105,6 +105,15 @@ def test_noiseless_transition_is_identity():
     assert np.array_equal(w.probs, np.eye(16))
 
 
+@pytest.mark.parametrize("name", ["qam16", "qam32"])
+@pytest.mark.parametrize("method", ["analytic", "mc"])
+def test_noiseless_hop_is_the_identity_under_either_method(name, method):
+    c = build_constellation(name)
+    w = transition_matrix(c, NOISELESS_SNR, method=method, mc_samples=1000, seed=5)
+    assert np.array_equal(w.probs, np.eye(c.order))
+    assert (w.method, w.seed) == (method, 5 if method == "mc" else None)
+
+
 def test_monte_carlo_agrees_with_analytic():
     c = build_constellation("qam16")
     snr = 10 ** 1.0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from relaycm.channel import DmcMatrix, transition_matrix
+from relaycm.channel import DmcMatrix, nearest_index, transition_matrix
 from relaycm.constellation import Constellation, build_constellation
 from relaycm.demapper import (
     _BLOCK_ROWS,
@@ -201,6 +201,46 @@ def test_slicer_row_max_matches_the_plain_row_max(name, snr_db, n, equivalent, s
     y = (_awkward_axis(np.unique(s.real), n, rng)
          + 1j * _awkward_axis(np.unique(s.imag), n, rng))
     np.testing.assert_array_equal(dm.llrs(y), _max_shift_llrs(dm, y))
+
+
+def _slicer_shift_llrs(dm, y):
+    # the blocked demap with each row shifted by its entry at the slicer's
+    # nearest symbol, the way Demapper.llrs once found the row max
+    c = dm.constellation
+    ones = c.labels.astype(np.float64)
+    out = np.empty((len(y), c.bits_per_symbol))
+    for i in range(0, len(y), _BLOCK_ROWS):
+        yb = y[i:i + _BLOCK_ROWS]
+        a = np.square(np.abs(yb[:, None] - c.symbols[None, :]))
+        a /= -2.0 * dm.noise_var
+        a -= np.take_along_axis(a, nearest_index(yb, c.symbols)[:, None], axis=1)
+        p = np.exp(a)
+        if dm.transition is not None:
+            p = p @ dm.transition.probs
+        with np.errstate(divide="ignore"):
+            out[i:i + _BLOCK_ROWS] = np.log(p @ (1.0 - ones)) - np.log(p @ ones)
+    return np.clip(out, -LLR_CLIP, LLR_CLIP)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["qam16", "qam32"]), equivalent=st.booleans(),
+       n=st.sampled_from([1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]),
+       log_spacings=st.floats(-3.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_row_max_demaps_like_the_slicer_shift_bit_for_bit(name, equivalent, n,
+                                                          log_spacings, seed):
+    # noise of 1e-3 to 10 symbol spacings per dimension; half the draws
+    # are noisy symbols, half sit on levels, on decision lines, anywhere
+    # in the square around the constellation, or far outside it
+    c = build_constellation(name)
+    sigma = 10.0 ** log_spacings * np.diff(np.unique(c.symbols.real))[0]
+    dm = _demapper(name, 0.5 / sigma**2, equivalent, seed)
+    rng = np.random.default_rng(seed)
+    lines = (_awkward_axis(np.unique(c.symbols.real), n, rng)
+             + 1j * _awkward_axis(np.unique(c.symbols.imag), n, rng))
+    noisy = c.symbols[rng.integers(0, c.order, n)] + sigma * (
+        rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    y = np.where(rng.random(n) < 0.5, lines, noisy)
+    assert dm.llrs(y).tobytes() == _slicer_shift_llrs(dm, y).tobytes()
 
 
 @pytest.mark.parametrize("equivalent", [False, True])

@@ -198,6 +198,18 @@ def test_main_error_paths(tmp_path, capsys):
     assert main(["snr-region", "--config", str(small), "--out", str(taken)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert taken.read_text() == "keep\n"
+    # an empty sweep once wrote a CSV of no rows, or no CSV at all, and two
+    # contours with one CSV name once wrote one over the other
+    region = "[sweep]\nsnr1_db = 17\nn_symbols = 200\n"
+    for verb, body, out in (
+            ("snr-region", region + "f = 0.1, 0.1000001\n", "o11"),
+            ("snr-region", region + "[link]\nvariants = hd_matched, hd_matched\n", "o12"),
+            ("snr-region", region + "f =\n", "o13"),
+            ("distance-contour", "[sweep]\nspans1 = 5:0\nn_symbols = 200\n", "o14")):
+        ini = _write(tmp_path / f"{out}.ini", body)
+        assert main([verb, "--config", str(ini), "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not list((tmp_path / out).iterdir())
 
 
 def test_pool_starts_no_more_workers_than_points(monkeypatch):
@@ -303,6 +315,21 @@ n_symbols = 3000
 tol_db = 0.2
 f = 0.5
 """
+
+
+def test_qam32_distance_contour_without_hd_matched_needs_no_monte_carlo(tmp_path):
+    # its no-relay point demaps through a noiseless hop, whose transition
+    # matrix is the identity under either method
+    body = _SMALL_DISTANCE.replace("hd_matched", "hd_legacy_sopt").replace(
+        "[link]", "[link]\nconstellation = qam32")
+    csvs = []
+    for name, extra in (("default", ""), ("mc", "dmc_method = mc\n")):
+        ini = _write(tmp_path / f"{name}.ini", body + extra)
+        out = tmp_path / name
+        assert main(["distance-contour", "--config", str(ini), "--out", str(out)]) == 0
+        lines = (out / "distance_hd_legacy_sopt_f0.5.csv").read_text().splitlines()
+        csvs.append([line for line in lines if not line.startswith("# config=")])
+    assert csvs[0] == csvs[1]
 
 
 def test_small_distance_sweep(tmp_path):
