@@ -8,7 +8,6 @@ midpoint splice its own traffic into a passing codeword.
 """
 
 from .channel import (
-    AwgnSegment,
     DmcMatrix,
     LinkModel,
     compose_dmc,
@@ -49,7 +48,6 @@ from .scldpc import SpatiallyCoupledCode, build_code, decode, design_rate
 __version__ = "0.1.0"
 
 __all__ = [
-    "AwgnSegment",
     "CollisionError",
     "ConfigError",
     "Constellation",

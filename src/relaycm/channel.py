@@ -1,8 +1,9 @@
-"""Memoryless channel segments, link budgets, and discrete equivalents.
+"""Memoryless channel hops, link budgets, and discrete equivalents.
 
-SNR is defined per complex symbol: an AWGN segment at linear snr adds
-circular noise of total variance 1/snr (1/(2 snr) per real dimension).
-Above NOISELESS_SNR the segment is treated as exactly transparent.
+SNR is defined per complex symbol: an AWGN hop at linear snr adds
+circular noise of total variance noise_var(snr) = 1/snr (1/(2 snr) per
+real dimension).  At or above NOISELESS_SNR the hop is exactly
+transparent.
 
 A hard-decision relay collapses a hop into a discrete memoryless channel.
 Its transition matrix is column stochastic with W[i, j] = P(decide symbol
@@ -50,20 +51,41 @@ def complex_noise_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class AwgnSegment:
-    """One additive white Gaussian noise hop at a fixed linear snr."""
+def noise_var(snr: float) -> float:
+    """Total complex noise variance of a hop at linear snr; exactly 0 at
+    or above the noiseless cap."""
+    if not snr > 0:
+        raise ConfigError(f"snr must be positive, got {snr!r}")
+    return 0.0 if snr >= NOISELESS_SNR else 1.0 / snr
 
-    snr: float
 
-    def __post_init__(self):
-        if not self.snr > 0:
-            raise ConfigError(f"snr must be positive, got {self.snr!r}")
+def save_table(path, header, rows) -> None:
+    """The CSV table of the transition-matrix and LLR files: one "# "
+    line per header entry, then one row of repr(float) values per line."""
+    with open(path, "w") as fh:
+        for line in header:
+            fh.write(f"# {line}\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
-    @property
-    def noise_var(self) -> float:
-        """Total complex noise variance; exactly 0 above the noiseless cap."""
-        return 0.0 if self.snr >= NOISELESS_SNR else 1.0 / self.snr
+
+def load_table(path, what: str) -> tuple:
+    """(meta, rows) of a save_table file: every key=value word of its "#"
+    lines, other words ignored, and its rows as a float array.  A row that
+    is not floats, or not as long as the others, raises ConfigError."""
+    meta = {}
+    rows = []
+    try:
+        with open(path) as fh:
+            for raw in fh:
+                line = raw.strip()
+                if line.startswith("#"):
+                    meta.update(w.split("=", 1) for w in line[1:].split() if "=" in w)
+                elif line:
+                    rows.append([float(v) for v in line.split(",")])
+        return meta, np.array(rows)
+    except ValueError as exc:
+        raise ConfigError(f"malformed {what} file: {exc}") from exc
 
 
 @dataclass(eq=False)
@@ -83,38 +105,24 @@ class DmcMatrix:
         p = self.probs
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ConfigError("transition matrix must be square")
-        if np.any(p < 0):
+        # written so that NaN fails both tests
+        if not (p >= 0).all():
             raise ConfigError("transition probabilities must be nonnegative")
         err = np.max(np.abs(p.sum(axis=0) - 1.0))
-        if err > COLUMN_SUM_TOL:
+        if not err <= COLUMN_SUM_TOL:
             raise ConfigError(f"columns deviate from unit sum by {err:.3e}")
 
     def to_csv(self, path) -> None:
-        """Row-major CSV dump with a metadata header."""
-        with open(path, "w") as fh:
-            fh.write(f"# M={self.order}\n")
-            fh.write(f"# snr_db={'' if self.snr_db is None else repr(float(self.snr_db))}\n")
-            fh.write(f"# method={self.method}\n")
-            fh.write(f"# seed={'' if self.seed is None else self.seed}\n")
-            for row in self.probs:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        """Row-major CSV table with a metadata header."""
+        save_table(path, (f"M={self.order}",
+                          f"snr_db={'' if self.snr_db is None else repr(float(self.snr_db))}",
+                          f"method={self.method}",
+                          f"seed={'' if self.seed is None else self.seed}"), self.probs)
 
     @classmethod
     def from_csv(cls, path) -> "DmcMatrix":
-        meta = {}
-        rows = []
+        meta, probs = load_table(path, "transition matrix")
         try:
-            with open(path) as fh:
-                for raw in fh:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    if line.startswith("#"):
-                        key, _, val = line[1:].partition("=")
-                        meta[key.strip()] = val.strip()
-                        continue
-                    rows.append([float(v) for v in line.split(",")])
-            probs = np.array(rows)
             m = cls(
                 probs=probs,
                 snr_db=float(meta["snr_db"]) if meta.get("snr_db") else None,
@@ -142,6 +150,8 @@ class LinkModel:
     spans_hop1: int = 0
 
     def __post_init__(self):
+        if not self.span_length_km > 0:
+            raise ConfigError("span length must be positive")
         if self.relay_penalty_db < 0:
             raise ConfigError("relay penalty must be >= 0")
         if self.spans_hop1 < 0:
@@ -178,17 +188,13 @@ def scale_relay_equivalent_snr(snr1: float, snr2: float) -> float:
     return snr1 * snr2 / (snr1 + snr2 + 1.0)
 
 
-def transmit(symbols: np.ndarray, seg: AwgnSegment, seed) -> np.ndarray:
-    """Pass symbols through one AWGN segment.
-
-    seed is anything np.random.default_rng accepts, including an existing
-    Generator to draw from in place.
-    """
-    var = seg.noise_var
+def transmit(symbols: np.ndarray, snr: float, unit_noise: np.ndarray) -> np.ndarray:
+    """Pass symbols through one AWGN hop at linear snr, scaling the
+    unit-variance noise unit_noise (complex_noise_unit) to the hop's."""
+    var = noise_var(snr)
     if var == 0.0:
         return np.array(symbols, copy=True)
-    rng = np.random.default_rng(seed)
-    return symbols + np.sqrt(var) * complex_noise_unit(rng, len(symbols))
+    return symbols + np.sqrt(var) * unit_noise
 
 
 def nearest_index(y, points: np.ndarray):
@@ -289,10 +295,7 @@ def _lattice_of(key: bytes) -> _Lattice | None:
     points = np.frombuffer(key, dtype=np.complex128)
     if not np.isfinite(points).all():
         return None
-    # a lattice that holds M points has spacings of at least span/(M - 1),
-    # so values this close are float noise on one level
-    tol = _LATTICE_TOL * max(np.ptp(points.real), np.ptp(points.imag)) / len(points)
-    cells = _cells(points, tol)
+    cells = _cells(points)
     if cells is None:
         return None
     re, im, col, row = cells
@@ -323,24 +326,18 @@ def _axis_levels(v: np.ndarray, tol: float):
     return sv[np.concatenate(([True], step))], rank
 
 
-def _cells(points: np.ndarray, tol: float = 0.0):
+def _cells(points: np.ndarray):
     """Level decomposition of a point set: the real and imaginary levels
     and every point's (col, row) cell, or None if two points share a cell."""
+    # a lattice that holds M points has spacings of at least span/(M - 1),
+    # so values this close are float noise on one level
+    tol = _LATTICE_TOL * max(np.ptp(points.real), np.ptp(points.imag)) / len(points)
     re, col = _axis_levels(points.real, tol)
     im, row = _axis_levels(points.imag, tol)
     # a set, not numpy's unique, which imports numpy.ma
     if len(set((row * len(re) + col).tolist())) != len(points):
         return None
     return re, im, col, row
-
-
-def _rect_grid(c: Constellation):
-    """Per-dimension level decomposition, or None if the constellation is
-    not a full rectangular grid."""
-    grid = _cells(c.symbols)
-    if grid is None or len(grid[0]) * len(grid[1]) != c.order:
-        return None
-    return grid
 
 
 # Rational approximations of the Cephes ndtr.c that scipy.special.ndtr
@@ -444,7 +441,7 @@ def transition_matrix(
     mc_samples per sent symbol on any constellation.  A scaling relay has
     no discrete channel; the demapper models its equivalent continuous snr.
     """
-    var = AwgnSegment(snr=snr).noise_var
+    var = noise_var(snr)
     snr_db = 10.0 * np.log10(snr)
     if method not in (ANALYTIC, MONTE_CARLO):
         raise ConfigError(f"unknown transition matrix method {method!r}")
@@ -454,13 +451,13 @@ def transition_matrix(
         # without noise every draw lands on its own symbol
         probs = np.eye(c.order)
     elif method == ANALYTIC:
-        grid = _rect_grid(c)
-        if grid is None:
+        cells = _cells(c.symbols)
+        if cells is None or len(cells[0]) * len(cells[1]) != c.order:
             raise ConfigError(
                 "analytic transition probabilities need a rectangular grid; "
                 "use the Monte Carlo method for cross constellations"
             )
-        re, im, col, row = grid
+        re, im, col, row = cells
         sigma_dim = np.sqrt(var / 2.0)
         p_re = _levels_transition(re, sigma_dim)
         p_im = _levels_transition(im, sigma_dim)

@@ -1,8 +1,7 @@
 """Per-bit soft demapping for direct and relayed links.
 
 LLR sign convention: positive values favor bit 0.  Outputs are clipped to
-+-LLR_CLIP, and noise variances passed here are per real dimension (half
-the total complex variance of the segment feeding the receiver).
++-LLR_CLIP.
 
 The equivalent demapper folds a discrete relay channel into the metric:
 the likelihood of a sent index q is the mixture over relay outputs j of
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DmcMatrix
+from .channel import DmcMatrix, load_table, save_table
 from .constellation import Constellation
 from .errors import ConfigError, NumericalDegeneracyError
 
@@ -35,24 +34,24 @@ class Demapper:
     """
 
     constellation: Constellation
-    noise_var: float
+    snr: float          # linear, of the AWGN hop feeding the receiver
     transition: DmcMatrix | None = None
 
     def __post_init__(self):
-        if not self.noise_var > 0:
-            raise ConfigError("per-dimension noise variance must be positive")
+        if not 0.0 < self.snr < np.inf:
+            raise ConfigError("the receiver's snr must be positive and finite")
         if self.transition is not None and self.transition.order != self.constellation.order:
             raise ConfigError("transition matrix order does not match constellation")
 
     @classmethod
     def conventional(cls, c: Constellation, snr: float) -> "Demapper":
-        """Single-hop demapper for an AWGN segment at linear snr."""
-        return cls(constellation=c, noise_var=0.5 / snr)
+        """Single-hop demapper for an AWGN hop at linear snr."""
+        return cls(constellation=c, snr=snr)
 
     @classmethod
     def equivalent(cls, c: Constellation, snr2: float, dmc: DmcMatrix) -> "Demapper":
         """Two-hop demapper: discrete relay stage dmc, then AWGN at snr2."""
-        return cls(constellation=c, noise_var=0.5 / snr2, transition=dmc)
+        return cls(constellation=c, snr=snr2, transition=dmc)
 
     def llrs(self, y) -> np.ndarray:
         """Per-bit LLRs, shape (n, bits_per_symbol).
@@ -78,7 +77,7 @@ class Demapper:
             d, a = diff[:len(yb)], dist[:len(yb)]
             np.subtract(yb[:, None], c.symbols[None, :], out=d)
             np.square(np.abs(d, out=a), out=a)
-            a /= -2.0 * self.noise_var
+            a /= -(1.0 / self.snr)
             amax = functools.reduce(np.maximum, a.T)[:, None]  # 4x faster than a.max(axis=1)
             with np.errstate(invalid="ignore"):  # non-finite rows are rejected below
                 a -= amax
@@ -98,30 +97,21 @@ class Demapper:
 def save_llrs_csv(path, llrs: np.ndarray) -> None:
     """One sample per line, bit LLRs comma separated, repr precision."""
     llrs = np.atleast_2d(llrs)
-    with open(path, "w") as fh:
-        fh.write(f"# rows={llrs.shape[0]} bits={llrs.shape[1]}\n")
-        for row in llrs:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    save_table(path, (f"rows={llrs.shape[0]} bits={llrs.shape[1]}",), llrs)
 
 
 def load_llrs_csv(path) -> np.ndarray:
-    rows = []
-    shape = None
+    meta, out = load_table(path, "LLR")
+    if not meta:
+        return out
     try:
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    fields = dict(kv.split("=") for kv in line[1:].split())
-                    shape = (int(fields["rows"]), int(fields["bits"]))
-                    continue
-                rows.append([float(v) for v in line.split(",")])
-        out = np.array(rows)
+        shape = (int(meta["rows"]), int(meta["bits"]))
+        if out.size == 0:
+            # no rows to give the body its width
+            out = out.reshape(0, shape[1])
     except (KeyError, ValueError) as exc:
-        raise ConfigError(f"malformed LLR file: {exc}") from exc
-    if shape is not None and out.shape != shape:
+        raise ConfigError(f"malformed LLR file header: {exc}") from exc
+    if out.shape != shape:
         raise ConfigError("LLR file header does not match its body")
     return out
 
@@ -138,17 +128,16 @@ def save_llrs_bin(path, llrs: np.ndarray) -> None:
 
 def load_llrs_bin(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BIN_MAGIC:
+        if fh.read(4) != _BIN_MAGIC:
             raise ConfigError("not an LLR binary file")
-        try:
-            n, m = np.frombuffer(fh.read(8), dtype="<u4")
-            data = np.frombuffer(fh.read(int(n) * int(m) * 8), dtype="<f8")
-        except ValueError as exc:
-            raise ConfigError(f"LLR binary file is truncated: {exc}") from exc
-    if data.size != int(n) * int(m):
+        head = fh.read(8)
+        body = fh.read()
+    if len(head) < 8:
+        raise ConfigError("LLR binary file is truncated in its header")
+    n, m = (int(v) for v in np.frombuffer(head, dtype="<u4"))
+    if len(body) < n * m * 8:
         raise ConfigError("LLR binary file is truncated")
-    return data.reshape(int(n), int(m)).astype(np.float64)
+    return np.frombuffer(body, dtype="<f8", count=n * m).reshape(n, m).astype(np.float64)
 
 
 @dataclass(eq=False)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .channel import (
     ANALYTIC,
-    AwgnSegment,
     DmcMatrix,
     complex_noise_unit,
     derived_rng,
@@ -222,7 +221,7 @@ class RelayLink:
         self.snr1 = float(snr1)
         self.variant = variant
         self.dmc = dmc
-        y1 = transmit(x, AwgnSegment(snr=self.snr1), derived_rng(*key, 1))
+        y1 = transmit(x, self.snr1, complex_noise_unit(derived_rng(*key, 1), len(x)))
         if variant == SCALE_RELAY:
             self.sent = power_normalizing_eta(self.snr1) * y1
         else:
@@ -232,7 +231,7 @@ class RelayLink:
 
     def receive(self, snr2: float) -> np.ndarray:
         """Hop-2 output at snr2."""
-        return self.sent + np.sqrt(1.0 / snr2) * self.unit_noise
+        return transmit(self.sent, snr2, self.unit_noise)
 
     def llrs(self, y2: np.ndarray, snr2: float) -> np.ndarray:
         """Destination LLRs of two-hop traffic received as y2 at snr2.
@@ -309,7 +308,7 @@ class RelayGmiEvaluator:
     def single_hop_gmi(self, snr2: float) -> GmiEstimate:
         """Rate of traffic injected at the relay, seeing only hop 2."""
         bits, x, unit_noise = self._single_stream
-        y = x + np.sqrt(1.0 / snr2) * unit_noise
+        y = transmit(x, snr2, unit_noise)
         return gmi_from_llrs(Demapper.conventional(self.c, snr2).llrs(y), bits)
 
     def mixture_rate(self, snr2: float, relay_fraction: float, rate: float) -> tuple:
@@ -342,7 +341,7 @@ class RelayGmiEvaluator:
 def single_hop_gmi(c: Constellation, snr: float, n_symbols: int, seed: int) -> GmiEstimate:
     """One-shot rate estimate of a plain AWGN link at linear snr."""
     bits, x = _draw_symbols(c, int(n_symbols), seed, 0)
-    y = transmit(x, AwgnSegment(snr=snr), derived_rng(seed, 1))
+    y = transmit(x, snr, complex_noise_unit(derived_rng(seed, 1), len(x)))
     dem = Demapper.conventional(c, snr)
     return gmi_from_llrs(dem.llrs(y), bits)
 
@@ -369,8 +368,14 @@ def required_snr2_db(
     snapped to the brackets bisection could end in (_grid_search): on any
     monotone margin it returns the same float as bisection, with no more
     probes when the answer lies above lo_db, at most three when lo_db
-    passes and at most two when hi_db fails.
+    passes and at most two when hi_db fails.  A bracket that is empty or
+    has an infinite end, or a tolerance that is not positive, raises
+    ConfigError: the search could not narrow it.
     """
+    if not (math.isfinite(lo_db) and math.isfinite(hi_db) and hi_db > lo_db):
+        raise ConfigError(f"bad snr2 search bracket [{lo_db!r}, {hi_db!r}]")
+    if not tol_db > 0:
+        raise ConfigError(f"bisection tolerance must be positive, got {tol_db!r}")
     if continuous:
         return _grid_search(margin_fn, lo_db, hi_db, tol_db)
     if margin_fn(hi_db) < 0.0:

@@ -183,10 +183,13 @@ def _validate(cfg):
             raise ConfigError(f"loading factor {f} outside [0, 1]")
     if SCALE_RELAY in link["variants"] and any(f > 0 for f in sweep["f"]):
         raise ConfigError("a scale relay cannot carry injected traffic; use f = 0")
-    if sweep["tol_db"] <= 0 or code["tol_db"] <= 0:
+    if not (sweep["tol_db"] > 0 and code["tol_db"] > 0):
         raise ConfigError("bisection tolerance must be positive")
-    if not sweep["snr2_hi_db"] > sweep["snr2_lo_db"]:
-        raise ConfigError("empty snr2 search bracket")
+    lo, hi = sweep["snr2_lo_db"], sweep["snr2_hi_db"]
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ConfigError("the snr2 search bracket must be finite and not empty")
+    if not (link["span_km"] > 0 and run["bus_rate_gbit"] > 0):
+        raise ConfigError("span length and bus rate must be positive")
     if sweep["dmc_method"] not in (ANALYTIC, MONTE_CARLO):
         raise ConfigError(f"unknown transition method {sweep['dmc_method']!r}")
     for s in code["strategies"]:

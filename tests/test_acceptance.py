@@ -16,8 +16,8 @@ from numpy.polynomial.hermite import hermgauss
 
 from relaycm.channel import (
     NOISELESS_SNR,
-    AwgnSegment,
     DmcMatrix,
+    complex_noise_unit,
     derived_rng,
     transition_matrix,
     transmit,
@@ -89,7 +89,7 @@ def test_criterion_03_llr_scale_recovery(capsys):
     snr = 10 ** 1.2
     bits = derived_rng(30, 0).integers(0, 2, size=50_000 * 4, dtype=np.uint8)
     x = c.symbols[indices_for_bits(c, bits)]
-    y = transmit(x, AwgnSegment(snr=snr), derived_rng(30, 1))
+    y = transmit(x, snr, complex_noise_unit(derived_rng(30, 1), len(x)))
     llrs = Demapper.conventional(c, snr).llrs(y)
     bits = bits.reshape(-1, 4)
     s1 = optimal_llr_scale(llrs, bits).scale

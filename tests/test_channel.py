@@ -1,25 +1,29 @@
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from relaycm import channel
 from relaycm.channel import (
     NOISELESS_SNR,
+    _cells,
     _ndtr,
-    _rect_grid,
-    AwgnSegment,
     DmcMatrix,
     LinkModel,
     complex_noise_unit,
     compose_dmc,
     derived_rng,
+    load_table,
     nearest_index,
+    noise_var,
     power_normalizing_eta,
+    save_table,
     scale_relay_equivalent_snr,
     transition_matrix,
     transmit,
@@ -47,24 +51,67 @@ def test_unit_noise_is_the_complex_expression_bit_for_bit(n):
 
 
 def test_transmit_noise_variance_at_0db():
-    seg = AwgnSegment(snr=1.0)
     x = np.zeros(1_000_000, dtype=complex)
-    y = transmit(x, seg, seed=1)
+    y = transmit(x, 1.0, complex_noise_unit(np.random.default_rng(1), len(x)))
     var = np.mean(np.abs(y) ** 2)
     assert abs(var - 1.0) < 0.01
 
 
 def test_noiseless_transmit_is_exact_copy():
-    seg = AwgnSegment(snr=NOISELESS_SNR)
     x = np.exp(1j * np.linspace(0, 4, 50))
-    y = transmit(x, seg, seed=0)
+    y = transmit(x, NOISELESS_SNR, complex_noise_unit(np.random.default_rng(0), len(x)))
     assert np.array_equal(y, x)
     assert y is not x
 
 
 def test_snr_must_be_positive():
     with pytest.raises(ConfigError):
-        AwgnSegment(snr=0.0)
+        noise_var(0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(snr=st.floats(1e-300, NOISELESS_SNR, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+@example(snr=np.nextafter(NOISELESS_SNR, 0.0), seed=0)
+def test_transmit_scales_unit_noise_bit_for_bit_below_the_cap(snr, seed):
+    x = np.exp(1j * np.linspace(0.0, 6.0, 64))
+    u = complex_noise_unit(derived_rng(seed, 1), len(x))
+    assert noise_var(snr) == 1.0 / snr
+    assert transmit(x, snr, u).tobytes() == (x + np.sqrt(1.0 / snr) * u).tobytes()
+
+
+_EDGE_ROWS = [[], [[-0.0, 0.0]], [[5e-324, -2.2250738585072014e-308]],
+              [[1e308, -1e308], [1.7976931348623157e308, -5e-324]], [[0.1, 1.0 / 3.0]]]
+
+
+def _table_round_trip(rows):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.csv")
+        save_table(path, ("M=2 note", "snr_db=", "seed=7"), rows)
+        return load_table(path, "test table")
+
+
+@pytest.mark.parametrize("rows", _EDGE_ROWS)
+def test_table_round_trip_keeps_edge_doubles(rows):
+    meta, got = _table_round_trip(rows)
+    # every key=value word is metadata, and other words are ignored
+    assert meta == {"M": "2", "snr_db": "", "seed": "7"}
+    want = np.array(rows, dtype=np.float64)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_TABLE_FLOATS = st.one_of(st.floats(allow_nan=False),
+                          st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 6), data=st.data())
+def test_table_round_trip_keeps_every_double(width, data):
+    rows = data.draw(st.lists(st.lists(_TABLE_FLOATS, min_size=width, max_size=width),
+                              max_size=8))
+    _, got = _table_round_trip(rows)
+    want = np.array(rows, dtype=np.float64)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_derived_rng_reproducible_and_keyed():
@@ -133,6 +180,22 @@ def test_cross_constellation_has_no_analytic_path():
     # sampling still works
     w = transition_matrix(c, 10.0, method="mc", mc_samples=20_000, seed=0)
     np.testing.assert_allclose(w.probs.sum(axis=0), 1.0, atol=1e-9)
+
+
+def test_one_ulp_off_a_level_is_the_same_lattice_and_matrix():
+    # a coordinate one ulp off its level is float noise to the slicer and
+    # to the analytic matrix alike: one level decomposition serves both
+    c = build_constellation("qam16")
+    sym = c.symbols.copy()
+    sym[5] = complex(np.nextafter(sym[5].real, np.inf), sym[5].imag)
+    assert sym[5] != c.symbols[5]
+    nudged = Constellation(name="qam16-nudged", symbols=sym, labels=c.labels)
+    assert channel._lattice(sym) is not None
+    y = _slicer_draws(sym, np.random.default_rng(4), 4000, 3)
+    assert np.array_equal(nearest_index(y, sym), _argmin_slicer(y, sym))
+    for snr in (10 ** 0.6, 10 ** 1.7):
+        got = transition_matrix(nudged, snr, method="analytic").probs
+        assert got.tobytes() == transition_matrix(c, snr, method="analytic").probs.tobytes()
 
 
 def test_rotated_relabelled_constellation_permutes_transition():
@@ -365,6 +428,9 @@ def test_link_budget_hop1_snr_and_hop2_reach():
     assert link.max_spans_hop2(21.0) == 0
     with pytest.raises(ConfigError):
         LinkModel(snr_ref_db=22.0, spans_hop1=-1)
+    for km in (0.0, -80.0, math.nan):
+        with pytest.raises(ConfigError):
+            LinkModel(snr_ref_db=22.0, span_length_km=km)
 
 
 def test_scale_relay_equivalent_snr_formula():
@@ -443,8 +509,8 @@ def _scipy_levels_transition(levels, sigma_dim):
 def test_analytic_transition_equals_scipy_built_matrix(snr_db):
     c = build_constellation("qam16")
     snr = 10.0 ** (snr_db / 10.0)
-    re, im, col, row = _rect_grid(c)
-    sigma_dim = np.sqrt(AwgnSegment(snr=snr).noise_var / 2.0)
+    re, im, col, row = _cells(c.symbols)
+    sigma_dim = np.sqrt(noise_var(snr) / 2.0)
     want = (_scipy_levels_transition(re, sigma_dim)[np.ix_(col, col)]
             * _scipy_levels_transition(im, sigma_dim)[np.ix_(row, row)])
     got = transition_matrix(c, snr, method="analytic").probs

@@ -1,3 +1,4 @@
+import functools
 import os
 import tempfile
 
@@ -7,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from relaycm.channel import DmcMatrix, nearest_index, transition_matrix
+from relaycm.channel import (
+    DmcMatrix,
+    nearest_index,
+    scale_relay_equivalent_snr,
+    transition_matrix,
+)
 from relaycm.constellation import Constellation, build_constellation
 from relaycm.demapper import (
     _BLOCK_ROWS,
@@ -97,7 +103,7 @@ def _reference_llrs(dm, y):
     # each level's two sums are formed in the log domain
     c = dm.constellation
     y = np.atleast_1d(np.asarray(y, dtype=np.complex128))
-    a = -np.abs(y[:, None] - c.symbols[None, :]) ** 2 / (2.0 * dm.noise_var)
+    a = -np.abs(y[:, None] - c.symbols[None, :]) ** 2 / (1.0 / dm.snr)
     if dm.transition is not None:
         amax = a.max(axis=1, keepdims=True)
         with np.errstate(divide="ignore"):
@@ -168,7 +174,7 @@ def _max_shift_llrs(dm, y):
     # the demapper's arithmetic in one pass, with the row max taken by a.max
     c = dm.constellation
     a = np.abs(y[:, None] - c.symbols[None, :]) ** 2
-    a /= -2.0 * dm.noise_var
+    a /= -(1.0 / dm.snr)
     a -= a.max(axis=1, keepdims=True)
     p = np.exp(a, out=a)
     if dm.transition is not None:
@@ -212,7 +218,7 @@ def _slicer_shift_llrs(dm, y):
     for i in range(0, len(y), _BLOCK_ROWS):
         yb = y[i:i + _BLOCK_ROWS]
         a = np.square(np.abs(yb[:, None] - c.symbols[None, :]))
-        a /= -2.0 * dm.noise_var
+        a /= -(1.0 / dm.snr)
         a -= np.take_along_axis(a, nearest_index(yb, c.symbols)[:, None], axis=1)
         p = np.exp(a)
         if dm.transition is not None:
@@ -243,6 +249,42 @@ def test_row_max_demaps_like_the_slicer_shift_bit_for_bit(name, equivalent, n,
     assert dm.llrs(y).tobytes() == _slicer_shift_llrs(dm, y).tobytes()
 
 
+def _per_dimension_llrs(dm, y, snr):
+    # the blocked demap as it was written with a per-dimension noise
+    # variance 0.5 / snr: halving is exact, so dividing by -2 var is
+    # dividing by -1 / snr
+    c = dm.constellation
+    var = 0.5 / snr
+    ones = c.labels.astype(np.float64)
+    out = np.empty((len(y), c.bits_per_symbol))
+    for i in range(0, len(y), _BLOCK_ROWS):
+        yb = y[i:i + _BLOCK_ROWS]
+        a = np.square(np.abs(yb[:, None] - c.symbols[None, :]))
+        a /= -2.0 * var
+        a -= functools.reduce(np.maximum, a.T)[:, None]
+        p = np.exp(a)
+        if dm.transition is not None:
+            p = p @ dm.transition.probs
+        with np.errstate(divide="ignore"):
+            out[i:i + _BLOCK_ROWS] = np.log(p @ (1.0 - ones)) - np.log(p @ ones)
+    return np.clip(out, -LLR_CLIP, LLR_CLIP)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["qam16", "qam32"]), equivalent=st.booleans(),
+       snr1_db=st.floats(-5.0, 40.0), snr2_db=st.floats(-5.0, 40.0),
+       composite=st.booleans(), n=st.sampled_from([1, 300, _BLOCK_ROWS + 1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_llrs_equal_the_per_dimension_formula_bit_for_bit(name, equivalent, snr1_db, snr2_db,
+                                                          composite, n, seed):
+    snr1, snr2 = 10.0 ** (snr1_db / 10.0), 10.0 ** (snr2_db / 10.0)
+    # a scaling relay's receiver demaps at the composite snr
+    snr = scale_relay_equivalent_snr(snr1, snr2) if composite else snr2
+    dm = _demapper(name, snr, equivalent, seed)
+    y = _received(dm.constellation, snr, n, np.random.default_rng(seed))
+    assert dm.llrs(y).tobytes() == _per_dimension_llrs(dm, y, snr).tobytes()
+
+
 @pytest.mark.parametrize("equivalent", [False, True])
 @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
                                2 * _BLOCK_ROWS + 1])
@@ -270,10 +312,10 @@ def test_non_finite_samples_raise(bad, row, equivalent):
 
 def test_invalid_construction():
     with pytest.raises(ConfigError):
-        Demapper(constellation=_bpsk(), noise_var=0.0)
+        Demapper(constellation=_bpsk(), snr=0.0)
     w16 = DmcMatrix(probs=np.eye(16), snr_db=None, method="analytic")
     with pytest.raises(ConfigError):
-        Demapper(constellation=_bpsk(), noise_var=0.1, transition=w16)
+        Demapper(constellation=_bpsk(), snr=5.0, transition=w16)
 
 
 def test_llr_csv_round_trip():

@@ -9,7 +9,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from relaycm.channel import (
     NOISELESS_SNR,
-    AwgnSegment,
+    complex_noise_unit,
     derived_rng,
     power_normalizing_eta,
     scale_relay_equivalent_snr,
@@ -111,12 +111,12 @@ def test_matched_llrs_need_no_rescaling():
     dem = Demapper.conventional(c, snr)
     rng_est = single_hop_gmi(c, snr, 20_000, seed=3)
     # rebuild the same llrs/bits pair the estimator used
-    from relaycm.channel import AwgnSegment, derived_rng, transmit
+    from relaycm.channel import complex_noise_unit, derived_rng, transmit
     from relaycm.constellation import indices_for_bits
 
     bits = derived_rng(3, 0).integers(0, 2, size=20_000 * 4, dtype=np.uint8)
     x = c.symbols[indices_for_bits(c, bits)]
-    y = transmit(x, AwgnSegment(snr=snr), derived_rng(3, 1))
+    y = transmit(x, snr, complex_noise_unit(derived_rng(3, 1), len(x)))
     llrs = dem.llrs(y)
     bits = bits.reshape(-1, 4)
 
@@ -225,7 +225,7 @@ def test_relay_link_receives_what_hop_2_transmits(variant, snr1_db, seed, key_le
     key = (seed, 3)[:key_len]
     x = c.symbols[np.random.default_rng(seed).integers(0, c.order, 50)]
     link = RelayLink(c, x, 10.0 ** (snr1_db / 10.0), variant, key)
-    want = transmit(link.sent, AwgnSegment(snr2), derived_rng(*key, 2))
+    want = transmit(link.sent, snr2, complex_noise_unit(derived_rng(*key, 2), len(x)))
     assert np.array_equal(link.receive(snr2), want)
 
 
@@ -259,7 +259,7 @@ def test_relay_link_splices_into_a_joint_codeword(seed, fraction, strategy):
     assert np.array_equal(out, c.symbols[indices_for_bits(c, code.encode(cont.payload))])
     # a scaling relay only restores unit power
     snr1 = 10.0 ** rng.uniform(0.5, 2.5)
-    y1 = transmit(sym, AwgnSegment(snr1), derived_rng(seed, 1))
+    y1 = transmit(sym, snr1, complex_noise_unit(derived_rng(seed, 1), len(sym)))
     assert np.array_equal(RelayLink(c, sym, snr1, "scale", (seed,)).sent,
                           power_normalizing_eta(snr1) * y1)
 
@@ -294,6 +294,20 @@ def test_required_snr_bisection_contract():
     assert required_snr2_db(lambda s: -1.0) == np.inf
     assert required_snr2_db(lambda s: 1.0) == -2.0
     assert required_snr2_db(lambda s: s - 7.0, lo_db=7.5) == 7.5
+
+
+@pytest.mark.parametrize("continuous", [False, True])
+@pytest.mark.parametrize("lo, hi, tol", [(-np.inf, 30.0, 0.05), (-2.0, np.inf, 0.05),
+                                         (np.nan, 30.0, 0.05), (5.0, 5.0, 0.05),
+                                         (10.0, 5.0, 0.05), (-2.0, 30.0, np.nan),
+                                         (-2.0, 30.0, 0.0), (-2.0, 30.0, -0.1)])
+def test_search_rejects_a_bracket_it_cannot_narrow(lo, hi, tol, continuous):
+    # an infinite end never halves, and a NaN tolerance ends at once
+    probes = []
+    with pytest.raises(ConfigError):
+        required_snr2_db(lambda s: probes.append(s) or s - 7.0, lo, hi, tol,
+                         continuous=continuous)
+    assert probes == []
 
 
 def _bisection(margin_fn, lo, hi, tol):
@@ -447,7 +461,7 @@ def _conventional_llrs(name, snr_db, n, seed):
     bits = rng.integers(0, 2, size=n * c.bits_per_symbol, dtype=np.uint8)
     x = c.symbols[indices_for_bits(c, bits)]
     snr = 10 ** (snr_db / 10)
-    y = transmit(x, AwgnSegment(snr=snr), rng)
+    y = transmit(x, snr, complex_noise_unit(rng, len(x)))
     return Demapper.conventional(c, snr).llrs(y), bits.reshape(n, -1)
 
 

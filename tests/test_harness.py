@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from relaycm import harness
 from relaycm.channel import (
-    AwgnSegment,
     complex_noise_unit,
     derived_rng,
     nearest_index,
@@ -206,6 +205,23 @@ def test_main_error_paths(tmp_path, capsys):
             ("snr-region", region + "[link]\nvariants = hd_matched, hd_matched\n", "o12"),
             ("snr-region", region + "f =\n", "o13"),
             ("distance-contour", "[sweep]\nspans1 = 5:0\nn_symbols = 200\n", "o14")):
+        ini = _write(tmp_path / f"{out}.ini", body)
+        assert main([verb, "--config", str(ini), "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not list((tmp_path / out).iterdir())
+    # an infinite snr2 bound once bisected forever, since (lo + hi) / 2
+    # stays infinite; a NaN tolerance once returned the top of the bracket;
+    # a distance contour once wrote lengths and rates from a span of 0 km,
+    # a negative span or a negative bus rate
+    dist = "[sweep]\nspans1 = 0:2\nn_symbols = 200\n"
+    for verb, body, out in (
+            ("snr-region", region + "snr2_lo_db = -inf\n", "o15"),
+            ("snr-region", region + "snr2_hi_db = inf\n", "o16"),
+            ("snr-region", region + "tol_db = nan\n", "o17"),
+            ("coded-contour", _SMALL_CODED.replace("tol_db = 0.2", "tol_db = nan"), "o18"),
+            ("distance-contour", dist + "[link]\nspan_km = 0\n", "o19"),
+            ("distance-contour", dist + "[link]\nspan_km = -80\n", "o20"),
+            ("distance-contour", dist + "[run]\nbus_rate_gbit = -250\n", "o21")):
         ini = _write(tmp_path / f"{out}.ini", body)
         assert main([verb, "--config", str(ini), "--out", str(tmp_path / out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
@@ -468,7 +484,7 @@ def _reference_coded_ber(t, code, c, dmc, snr1, snr2):
         ur = rng_bits.integers(0, 2, size=len(cont.relay_slots), dtype=np.uint8)
         cont.write_source(us)
         sym = c.symbols[indices_for_bits(c, cont.encode())]
-        y1 = transmit(sym, AwgnSegment(snr1), derived_rng(seed, j, 1))
+        y1 = transmit(sym, snr1, complex_noise_unit(derived_rng(seed, j, 1), len(sym)))
         eta = power_normalizing_eta(snr1)
         if variant == "scale":
             relay_out = eta * y1
