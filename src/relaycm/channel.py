@@ -150,10 +150,13 @@ class LinkModel:
     spans_hop1: int = 0
 
     def __post_init__(self):
-        if not self.span_length_km > 0:
-            raise ConfigError("span length must be positive")
-        if self.relay_penalty_db < 0:
-            raise ConfigError("relay penalty must be >= 0")
+        # written so that NaN fails each test
+        if not math.isfinite(self.snr_ref_db):
+            raise ConfigError("reference snr must be finite")
+        if not 0 < self.span_length_km < math.inf:
+            raise ConfigError("span length must be positive and finite")
+        if not 0 <= self.relay_penalty_db < math.inf:
+            raise ConfigError("relay penalty must be finite and >= 0")
         if self.spans_hop1 < 0:
             raise ConfigError("hop 1 needs at least 0 spans")
 
@@ -340,74 +343,7 @@ def _cells(points: np.ndarray):
     return re, im, col, row
 
 
-# Rational approximations of the Cephes ndtr.c that scipy.special.ndtr
-# runs, highest degree first; _ndtr repeats its branches and Horner order
-# so that it returns the same doubles without importing scipy.special.
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-_MAXLOG = 7.09782712893383996843e2
-_SQRT1_2 = 7.07106781186547524401e-1
-
-
-def _polevl(x, coef):
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    """_polevl with an implied leading coefficient of 1."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _erf(x):
-    """Cephes erf, for |x| < 1."""
-    if x < 0.0:
-        return -_erf(-x)
-    z = x * x
-    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
-
-
-def _erfc(x):
-    """Cephes erfc, for x > 0."""
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    z = -x * x
-    if z < -_MAXLOG:
-        return 0.0      # underflow
-    if x < 8.0:
-        p, q = _polevl(x, _ERFC_P), _p1evl(x, _ERFC_Q)
-    else:
-        p, q = _polevl(x, _ERFC_R), _p1evl(x, _ERFC_S)
-    return math.exp(z) * p / q
-
-
-def _ndtr(a: float) -> float:
-    """Standard normal CDF, equal bit for bit to scipy.special.ndtr."""
-    if math.isnan(a):
-        return math.nan
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0.0 else y
+_SQRT1_2 = math.sqrt(0.5)
 
 
 def _levels_transition(levels: np.ndarray, sigma_dim: float) -> np.ndarray:
@@ -421,8 +357,11 @@ def _levels_transition(levels: np.ndarray, sigma_dim: float) -> np.ndarray:
 
 
 def _ndtr_grid(z: np.ndarray) -> np.ndarray:
-    # at most 6 x 6 entries, so scalar math costs nothing here
-    return np.array([_ndtr(v) for v in z.ravel().tolist()]).reshape(z.shape)
+    """Standard normal CDF of every entry, from math.erfc, which spares
+    importing scipy.special; at most 6 x 6 entries, so scalar math costs
+    nothing here."""
+    return np.array([0.5 * math.erfc(-v * _SQRT1_2)
+                     for v in z.ravel().tolist()]).reshape(z.shape)
 
 
 def transition_matrix(

@@ -174,7 +174,10 @@ def _validate(cfg):
             raise ConfigError(f"unknown link variant {v!r}")
     if not link["variants"]:
         raise ConfigError("need at least one link variant")
-    if link["relay_penalty_db"] < 0:
+    budget = (link["snr_ref_db"], link["relay_penalty_db"], link["span_km"], run["bus_rate_gbit"])
+    if not all(map(math.isfinite, budget)):
+        raise ConfigError("link budget values must be finite")
+    if not link["relay_penalty_db"] >= 0:
         raise ConfigError("relay penalty cannot be negative")
     if not 0.0 < sweep["rate"] <= 1.0:
         raise ConfigError("code rate must lie in (0, 1]")

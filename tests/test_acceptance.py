@@ -2,8 +2,13 @@
 
 Each test prints a single PASS/FAIL line on the live terminal so the
 whole gate can be read at a glance from `pytest tests/test_acceptance.py`.
-Everything runs on fixed seeds; the stochastic checks were frozen with
-margins well inside their tolerances so reruns are stable.
+Everything runs on fixed seeds, so reruns are byte-stable.  The margins
+of the stochastic checks are not all wide, though.  Rerun with only its
+seed changed, criterion 8 passed at 7 of 10 seeds (80-89): each failure
+came from one or two failed words of 100.  Criterion 9 passed at 3 of 8
+seeds (90-97): spread and interleaved placement drifted more than
+0.3 dB apart at the others.  A pass here holds at the seed shown, not
+at every seed.
 """
 
 import json

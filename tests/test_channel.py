@@ -13,7 +13,7 @@ from relaycm import channel
 from relaycm.channel import (
     NOISELESS_SNR,
     _cells,
-    _ndtr,
+    _ndtr_grid,
     DmcMatrix,
     LinkModel,
     complex_noise_unit,
@@ -428,9 +428,15 @@ def test_link_budget_hop1_snr_and_hop2_reach():
     assert link.max_spans_hop2(21.0) == 0
     with pytest.raises(ConfigError):
         LinkModel(snr_ref_db=22.0, spans_hop1=-1)
-    for km in (0.0, -80.0, math.nan):
+    for km in (0.0, -80.0, math.nan, math.inf):
         with pytest.raises(ConfigError):
             LinkModel(snr_ref_db=22.0, span_length_km=km)
+    # a non-finite reference or penalty once reached math.floor in
+    # max_spans_hop2 and raised ValueError or OverflowError there
+    for ref, penalty in ((math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                         (22.0, math.nan), (22.0, math.inf), (22.0, -1.0)):
+        with pytest.raises(ConfigError):
+            LinkModel(snr_ref_db=ref, relay_penalty_db=penalty)
 
 
 def test_scale_relay_equivalent_snr_formula():
@@ -479,30 +485,31 @@ def _same_doubles(got, want):
     return got.tobytes() == want.tobytes()
 
 
-def test_ndtr_port_matches_scipy_bit_for_bit():
+def test_normal_cdf_is_close_to_scipy():
+    # math.erfc and scipy's Cephes port round differently in the last
+    # places; measured at most 2.2e-16 absolute and 5.7e-14 relative
     grid = np.linspace(-60.0, 60.0, 240_001)
     mags = np.geomspace(1e-300, 100.0, 60_001)
-    special = np.array([0.0, -0.0, np.inf, -np.inf])
-    for xs in (grid, mags, -mags, special):
-        got = [_ndtr(v) for v in xs.tolist()]
-        assert _same_doubles(got, ndtr(xs))
-    assert math.isnan(_ndtr(math.nan)) and math.isnan(ndtr(math.nan))
-    # the zero keeps its sign through erf, which the half-sum then drops
-    assert math.copysign(1.0, _ndtr(-0.0)) == 1.0
+    for xs in (grid, mags, -mags):
+        got, want = _ndtr_grid(xs), ndtr(xs)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        big = want > 1e-300
+        assert np.max(np.abs(got[big] - want[big]) / want[big]) <= 1e-12
+    special = _ndtr_grid(np.array([np.nan, np.inf, -np.inf, -0.0]))
+    assert math.isnan(special[0])
+    assert _same_doubles(special[1:], [1.0, 0.0, 0.5])
 
 
-@settings(max_examples=2000, deadline=None)
-@given(x=st.floats(allow_nan=False, allow_infinity=False))
-def test_ndtr_port_matches_scipy_on_any_float(x):
-    assert _same_doubles(_ndtr(x), ndtr(x))
-
-
-def _scipy_levels_transition(levels, sigma_dim):
+def _interval_levels_transition(levels, sigma_dim, cdf):
     mids = (levels[:-1] + levels[1:]) / 2.0
     hi = np.append(mids, np.inf)
     lo = np.insert(mids, 0, -np.inf)
-    return (ndtr((hi[:, None] - levels[None, :]) / sigma_dim)
-            - ndtr((lo[:, None] - levels[None, :]) / sigma_dim))
+    return (cdf((hi[:, None] - levels[None, :]) / sigma_dim)
+            - cdf((lo[:, None] - levels[None, :]) / sigma_dim))
+
+
+def _erfc_cdf(z):
+    return np.vectorize(lambda v: 0.5 * math.erfc(-v * math.sqrt(0.5)))(z)
 
 
 @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 6.0, 12.5, 17.0, 25.0, 40.0])
@@ -511,7 +518,12 @@ def test_analytic_transition_equals_scipy_built_matrix(snr_db):
     snr = 10.0 ** (snr_db / 10.0)
     re, im, col, row = _cells(c.symbols)
     sigma_dim = np.sqrt(noise_var(snr) / 2.0)
-    want = (_scipy_levels_transition(re, sigma_dim)[np.ix_(col, col)]
-            * _scipy_levels_transition(im, sigma_dim)[np.ix_(row, row)])
+
+    def matrix(cdf):
+        return (_interval_levels_transition(re, sigma_dim, cdf)[np.ix_(col, col)]
+                * _interval_levels_transition(im, sigma_dim, cdf)[np.ix_(row, row)])
+
     got = transition_matrix(c, snr, method="analytic").probs
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == matrix(_erfc_cdf).tobytes()
+    # scipy's ndtr rounds differently; measured at most 4.4e-16 apart
+    assert np.max(np.abs(got - matrix(ndtr))) <= 1e-15

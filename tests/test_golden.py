@@ -129,13 +129,13 @@ _GOLDEN = {
     },
     "distance_penalty": {
         "distance.dat":
-            "e01449c47bc29ac9b9607217efb40702f2595ccb7aafa5dd4b51b4e54ecfbb74",
+            "f2dda3f0d5ed45e730f698eb84b7f9169a21177fda5a2ed4a5d8d1c687b549fb",
         "distance_hd_legacy_sopt_f0.4.csv":
             "7310580599a265b7457f59a0a19fea9e3202318a831ef938e7e44f29a09b93d7",
         "distance_hd_matched_f0.4.csv":
-            "5b63ad5530d30db0b24965167934ad83d41d36f3b1b97516bb30767cbafe1bda",
+            "c18b2cb43fbaa6e9ecc6841209dbf150ad6bb3b71b21e542290ce3e4a8a8397f",
         "distance_record.json":
-            "7b44d4e6cafb815ce7eeb7450c8da915edabb7d237175964fde2e2a59d8c3d81",
+            "f63511756d64d76631bbaa6aa9dd052cfe0cbdaeb4cf4f4ab796e66935962c54",
     },
     "distance_short_budget": {
         "distance.dat":

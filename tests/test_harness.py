@@ -21,7 +21,7 @@ from relaycm.channel import (
 from relaycm.constellation import bits_for_indices, build_constellation, indices_for_bits
 from relaycm.container import STRATEGIES, plan_container, relay_add, select_llrs
 from relaycm.demapper import Demapper
-from relaycm.errors import ConfigError
+from relaycm.errors import ConfigError, NumericalDegeneracyError
 from relaycm.gmi import RelayGmiEvaluator, required_snr2_db
 from relaycm.harness import (
     _SCHEMA,
@@ -221,7 +221,14 @@ def test_main_error_paths(tmp_path, capsys):
             ("coded-contour", _SMALL_CODED.replace("tol_db = 0.2", "tol_db = nan"), "o18"),
             ("distance-contour", dist + "[link]\nspan_km = 0\n", "o19"),
             ("distance-contour", dist + "[link]\nspan_km = -80\n", "o20"),
-            ("distance-contour", dist + "[run]\nbus_rate_gbit = -250\n", "o21")):
+            ("distance-contour", dist + "[run]\nbus_rate_gbit = -250\n", "o21"),
+            # a non-finite link budget once raised from math.floor in
+            # LinkModel.max_spans_hop2, or wrote inf and nan lengths and rates
+            ("distance-contour", dist + "[link]\nsnr_ref_db = nan\n", "o22"),
+            ("distance-contour", dist + "[link]\nsnr_ref_db = inf\n", "o23"),
+            ("distance-contour", dist + "[link]\nrelay_penalty_db = nan\n", "o24"),
+            ("distance-contour", dist + "[link]\nspan_km = inf\n", "o25"),
+            ("distance-contour", dist + "[run]\nbus_rate_gbit = inf\n", "o26")):
         ini = _write(tmp_path / f"{out}.ini", body)
         assert main([verb, "--config", str(ini), "--out", str(tmp_path / out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
@@ -400,6 +407,38 @@ def test_small_coded_sweep(tmp_path):
         assert float(ber) <= 1e-4
     record = json.loads((out / "coded_record.json").read_text())
     assert record["contours"][0]["strategy"] == "interleaved"
+
+
+@pytest.mark.parametrize("verb, body", [
+    ("snr-region", _SMALL_REGION),
+    ("distance-contour", _SMALL_DISTANCE.replace("[link]", "[link]\nconstellation = qam32")
+     + "dmc_method = mc\ndmc_samples = 4000\n"),
+    # two grid points, since a single task runs without a pool
+    ("coded-contour", _SMALL_CODED.replace("snr1_db = 16:16:1", "snr1_db = 16, 17")),
+], ids=["region", "distance", "coded"])
+def test_outputs_do_not_depend_on_worker_count(tmp_path, verb, body):
+    # every point derives its own seed, so a pool changes no byte
+    ini = _write(tmp_path / "w.ini", body)
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main([verb, "--config", str(ini), "--out", str(out),
+                     "--workers", workers]) == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outs[0]) >= 3
+    assert outs[0] == outs[1]
+
+
+def test_degenerate_numerics_exit_3(tmp_path, monkeypatch, capsys):
+    def degenerate(self, y):
+        raise NumericalDegeneracyError("zero likelihood under every hypothesis")
+
+    monkeypatch.setattr(Demapper, "llrs", degenerate)
+    ini = _write(tmp_path / "r.ini", "[sweep]\nsnr1_db = 17\nn_symbols = 200\n")
+    out = tmp_path / "out"
+    assert main(["snr-region", "--config", str(ini), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("degenerate numerics: ")
+    assert not list(out.iterdir())
 
 
 def test_readme_schema_block_loads_as_the_defaults(tmp_path):

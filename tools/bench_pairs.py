@@ -21,7 +21,8 @@ runs under ``pytest --durations=0`` on both sides, alternating the same
 way, for ``--criterion-pairs`` pairs.
 
 The output holds both revisions as typed and the commits that they
-resolve to (none for a working tree), every run's result line (the last
+resolve to (none for a working tree), each side's total line count of
+``src/relaycm/*.py`` as ``wc -l`` reads it, every run's result line (the last
 line that ``perfbench/run.py`` prints), and per workload, seed and
 end-to-end metric of ``BENCHMARK.json``: each side's median and
 quartiles over the pairs, and in how many pairs the change was better
@@ -80,6 +81,11 @@ def snapshot(base: Path) -> Path:
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dest / name, follow_symlinks=False)
     return dest
+
+
+def package_lines(checkout: Path) -> int:
+    """Newlines in src/relaycm/*.py, the total that wc -l prints."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "relaycm").glob("*.py"))
 
 
 def order(pair: int):
@@ -172,6 +178,7 @@ def main(argv=None) -> int:
             "parent": args.parent, "change": args.change or "working tree",
             "parent_commit": resolve(args.parent),
             "change_commit": resolve(args.change) if args.change else None,
+            "package_lines": {side: package_lines(dirs[side]) for side in SIDES},
             "command": "perfbench/run.py --trace 0", "seconds_per_run": seconds,
             "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                         "platform": platform.platform()},
